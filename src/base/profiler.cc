@@ -283,7 +283,10 @@ std::string
 renderTable(const Report &rep)
 {
     TextTable t;
-    t.header({"phase", "seconds", "%wall", "entries", "covers"});
+    t.header({"phase", "seconds", "%attr", "entries", "covers"});
+    // Shares are of the attributed thread-seconds, not of wall time:
+    // at --jobs N the phases sum over every thread and can exceed
+    // the main thread's wall window.
     double attributed = 0.0;
     for (unsigned p = 0; p < NumPhases; ++p)
         attributed += rep.phaseSeconds[p];
@@ -294,9 +297,9 @@ renderTable(const Report &rep)
             continue;
         }
         t.row({toString(phase), TextTable::num(rep.phaseSeconds[p], 4),
-               TextTable::num(rep.wallSeconds > 0
+               TextTable::num(attributed > 0
                                   ? 100.0 * rep.phaseSeconds[p] /
-                                        rep.wallSeconds
+                                        attributed
                                   : 0.0,
                               1),
                std::to_string(rep.phaseEntries[p]),

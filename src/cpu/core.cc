@@ -97,8 +97,7 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
                   "pre-decoded producer sentinel must match the core's");
     records_ = trace.records().data();
     traceSize_ = trace.size();
-    decoded_ =
-        Tuning::get().batchDecode ? &trace.ensureDecoded() : nullptr;
+    decoded_ = &trace.ensureDecoded();
     maxInsts_ = max_insts;
     warmupInsts_ = warmup_insts;
     onCommit_ = on_commit;
@@ -108,6 +107,7 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
     warmSnapshot_ = CoreStats();
     warmed_ = warmup_insts == 0;
     done_ = false;
+    endCycle_ = 0;
     rob_.assign(params_.robSize, RobEntry());
     readyAt_.assign(params_.robSize, 0);
     earliestIssue_.assign(params_.robSize, 0);
@@ -118,8 +118,6 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
     fetchQueue_.assign(params_.fetchQueueSize, FetchEntry());
     fqHead_ = 0;
     fqCount_ = 0;
-    for (auto &p : regProducer_)
-        p = NoProducer;
     headSeq_ = 0;
     traceIdx_ = 0;
     fetchAllowedAt_ = 0;
@@ -128,7 +126,6 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
     stqCount_ = 0;
     std::fill(std::begin(storeLineFilter_), std::end(storeLineFilter_),
               std::uint8_t(0));
-    fetchInBlock_ = false;
     lastCommittedInBlock_ = false;
     firstUnissued_ = 0;
     events_.clear();
@@ -155,8 +152,7 @@ OooCore::commitStage(Cycle now)
             head.mem = mem_.store(rec.effAddr, now, coreId_);
             if (onAccess_)
                 onAccess_(rec, head.mem, now);
-            retireStore(decoded_ ? decoded_->effLine[head.idx]
-                                 : rec.line());
+            retireStore(decoded_->effLine[head.idx]);
             --stqCount_;
             ++stats_.memInstructions;
         } else if (rec.cls == InstClass::Load) {
@@ -270,8 +266,7 @@ OooCore::issueStage(Cycle now)
             bool forwarded = false;
             bool wait_for_store = false;
             Cycle fwd_ready = 0;
-            const LineAddr line =
-                decoded_ ? decoded_->effLine[e.idx] : rec.line();
+            const LineAddr line = decoded_->effLine[e.idx];
             if (storeLineFilter_[storeFilterBucket(line)]) {
                 std::size_t jp = p;
                 const std::size_t i = p >= robHead_
@@ -372,8 +367,7 @@ OooCore::dispatchStage(Cycle now)
                 break;
             }
             ++stqCount_;
-            noteStore(decoded_ ? decoded_->effLine[fe.idx]
-                               : rec.line());
+            noteStore(decoded_->effLine[fe.idx]);
         }
         const std::size_t phys = physIndex(robCount_);
         RobEntry &slot = rob_[phys];
@@ -382,26 +376,12 @@ OooCore::dispatchStage(Cycle now)
         slot.mispredicted = fe.mispredicted;
         slot.inBlock = fe.inBlock;
         earliestIssue_[phys] = 0;
-        if (decoded_) {
-            // Rename result precomputed by the SoA decode (the
-            // producer's trace index is its sequence number;
-            // DecodedTrace::NoProd and NoProducer are the same
-            // sentinel, so the values copy straight through).
-            slot.src1Seq = decoded_->src1Prod[fe.idx];
-            slot.src2Seq = decoded_->src2Prod[fe.idx];
-        } else {
-            // Rename: capture in-flight producers, then claim the
-            // destination register.
-            slot.src1Seq = rec.src1 != InvalidReg
-                               ? regProducer_[rec.src1]
-                               : NoProducer;
-            slot.src2Seq = rec.src2 != InvalidReg
-                               ? regProducer_[rec.src2]
-                               : NoProducer;
-            if (rec.dest != InvalidReg)
-                regProducer_[rec.dest] = static_cast<std::uint32_t>(
-                    headSeq_ + robCount_);
-        }
+        // Rename result precomputed by the SoA decode (the
+        // producer's trace index is its sequence number;
+        // DecodedTrace::NoProd and NoProducer are the same sentinel,
+        // so the values copy straight through).
+        slot.src1Seq = decoded_->src1Prod[fe.idx];
+        slot.src2Seq = decoded_->src2Prod[fe.idx];
         if (isBlockMarker(rec.cls) || rec.cls == InstClass::Nop) {
             // Markers are architectural no-ops: complete immediately
             // without consuming a functional unit (the unissued bit
@@ -435,8 +415,7 @@ OooCore::fetchStage(Cycle now)
     while (fetched < params_.width && fqCount_ < fq_cap &&
            traceIdx_ < traceSize_ && now >= fetchAllowedAt_) {
         const TraceRecord &rec = records_[traceIdx_];
-        const LineAddr fetch_line =
-            decoded_ ? decoded_->pcLine[traceIdx_] : lineOf(rec.pc);
+        const LineAddr fetch_line = decoded_->pcLine[traceIdx_];
         if (fetch_line != lastFetchLine_) {
             AccessOutcome out = mem_.fetch(rec.pc, now, coreId_);
             if (!out.ok)
@@ -451,17 +430,8 @@ OooCore::fetchStage(Cycle now)
 
         FetchEntry e;
         e.idx = static_cast<std::uint32_t>(traceIdx_);
-        if (decoded_) {
-            e.inBlock = (decoded_->flags[traceIdx_] &
-                         DecodedTrace::InBlock) != 0;
-        } else {
-            if (rec.cls == InstClass::BlockBegin)
-                fetchInBlock_ = true;
-            e.inBlock =
-                fetchInBlock_ || rec.cls == InstClass::BlockEnd;
-            if (rec.cls == InstClass::BlockEnd)
-                fetchInBlock_ = false;
-        }
+        e.inBlock =
+            (decoded_->flags[traceIdx_] & DecodedTrace::InBlock) != 0;
 
         ++traceIdx_;
         ++fetched;
@@ -500,12 +470,10 @@ OooCore::step(Cycle now)
         trace_->counter(robLabel_.c_str(), now, robCount_);
     }
 
-    if (stats_.instructions >= maxInsts_) {
+    if (stats_.instructions >= maxInsts_ ||
+        (traceIdx_ >= traceSize_ && robCount_ == 0 && fqCount_ == 0)) {
         done_ = true;
-        return committed > 0;
-    }
-    if (traceIdx_ >= traceSize_ && robCount_ == 0 && fqCount_ == 0) {
-        done_ = true;
+        endCycle_ = now;
         return committed > 0;
     }
 
@@ -563,9 +531,9 @@ OooCore::addSkippedCycles(Cycle skipped)
 }
 
 CoreStats
-OooCore::finish(Cycle end)
+OooCore::finish()
 {
-    stats_.cycles = end;
+    stats_.cycles = endCycle_;
     if (warmupInsts_ > 0 && warmed_) {
         stats_.cycles -= warmSnapshot_.cycles;
         stats_.instructions -= warmSnapshot_.instructions;
@@ -590,25 +558,45 @@ OooCore::run(const Trace &trace, std::uint64_t max_insts,
 {
     begin(trace, max_insts, on_commit, on_access, warmup_insts,
           on_warmup);
+    runLockstep(mem_, {this, 1});
+    return finish();
+}
 
+void
+OooCore::runLockstep(Hierarchy &mem, std::span<OooCore> cores,
+                     const std::function<void(unsigned, Cycle)> &on_done)
+{
     // One scope for the whole replay loop: core-side work (fetch,
     // rename, scheduling, commit) lands in Decode; the memory-system
     // phases nest inside and claim their own exclusive time.
     PROF_SCOPE(prof::Phase::Decode);
 
     const bool skip_ahead = Tuning::get().skipAhead;
+    const Cycle cycle_limit = cores[0].cycleLimit_;
+    std::size_t running = cores.size();
     Cycle now = 0;
     while (true) {
-        mem_.tick(now);
-        const std::uint64_t mshr_stalls0 = mem_.stats().mshrStalls;
-        const bool worked = step(now);
-        if (done_)
+        mem.tick(now);
+        const std::uint64_t mshr_stalls0 = mem.stats().mshrStalls;
+        bool worked = false;
+        for (std::size_t c = 0; c < cores.size(); ++c) {
+            OooCore &core = cores[c];
+            if (core.done_)
+                continue;
+            worked = core.step(now) || worked;
+            if (core.done_) {
+                --running;
+                if (on_done)
+                    on_done(static_cast<unsigned>(c), now);
+            }
+        }
+        if (running == 0)
             break;
 
         // ---- Idle fast-forward ----
         // When nothing moved this cycle, the earliest state change is
         // either an execution completing, a memory fill draining, or
-        // the post-mispredict fetch restart. Jump there instead of
+        // a post-mispredict fetch restart. Jump there instead of
         // spinning (pure simulation speed; architecturally invisible
         // because no pipeline stage had work to do in between).
         // (A failed memory retry does not inhibit the skip: the retry
@@ -616,32 +604,35 @@ OooCore::run(const Trace &trace, std::uint64_t max_insts,
         // includes exactly those fills. Each skipped cycle would have
         // repeated this cycle's failed retries verbatim, so their
         // stall counts are replayed below.)
-        if (skip_ahead && !worked && !mem_.prefetchWorkPending()) {
-            Cycle next_event = mem_.nextEventCycle();
-            const Cycle local = nextLocalEvent(now);
-            if (local < next_event)
-                next_event = local;
+        if (skip_ahead && !worked && !mem.prefetchWorkPending()) {
+            Cycle next_event = mem.nextEventCycle();
+            for (const OooCore &core : cores)
+                if (!core.done_)
+                    next_event =
+                        std::min(next_event, core.nextLocalEvent(now));
             if (next_event != Never && next_event > now + 1) {
                 const Cycle skipped = next_event - now - 1;
-                addSkippedCycles(skipped);
-                mem_.addSkippedMshrStalls(
-                    (mem_.stats().mshrStalls - mshr_stalls0) *
+                for (OooCore &core : cores)
+                    if (!core.done_)
+                        core.addSkippedCycles(skipped);
+                mem.addSkippedMshrStalls(
+                    (mem.stats().mshrStalls - mshr_stalls0) *
                     skipped);
                 now += skipped;
             }
         }
 
         ++now;
-        if (now > cycleLimit_) {
-            warn("core: cycle limit reached (%llu cycles, %llu insts); "
-                 "possible livelock",
-                 static_cast<unsigned long long>(now),
-                 static_cast<unsigned long long>(stats_.instructions));
+        if (now > cycle_limit) {
+            warn("core: cycle limit reached (%llu cycles); possible "
+                 "livelock",
+                 static_cast<unsigned long long>(now));
+            for (OooCore &core : cores)
+                if (!core.done_)
+                    core.endCycle_ = now;
             break;
         }
     }
-
-    return finish(now);
 }
 
 } // namespace cbws

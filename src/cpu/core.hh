@@ -19,21 +19,21 @@
  * program order, exactly as the paper requires ("the prefetcher
  * obtains the address sequence from the in-order commit stage").
  *
- * The core exposes two driving modes over the same pipeline:
- * run() owns the cycle loop for a single core (the historic API),
- * while begin()/step()/finish() let an external lockstep driver
- * interleave several cores cycle by cycle over a shared hierarchy
- * (sim/simulator.cc's multi-core mode). run() is implemented on top
- * of the step API, so both modes execute identical pipeline code.
+ * One cycle loop drives every core: runLockstep() steps one or more
+ * cores (begin() armed) through a shared global clock over their
+ * shared hierarchy. run() is begin() + runLockstep() over this core
+ * alone + finish(); the multi-core driver (sim/simulator.cc) hands it
+ * all of its cores, so both execute identical pipeline and
+ * fast-forward code.
  *
  * Replay-speed machinery (all architecturally invisible; see
  * PERFORMANCE.md):
  *  - ROB entries hold a trace *index* instead of a record copy; a
  *    record's sequence number equals its trace index because every
  *    record dispatches exactly once, in program order.
- *  - When the trace carries a SoA pre-decode (trace/decoded.hh,
- *    gated by CBWS_BATCH_DECODE), dispatch reads precomputed source
- *    producers and block membership instead of re-deriving them.
+ *  - Replay reads the trace's SoA pre-decode (trace/decoded.hh):
+ *    dispatch takes precomputed source producers and block
+ *    membership instead of re-deriving them.
  *  - Issued completion times feed a min-heap so nextLocalEvent() is
  *    O(log n) instead of an O(ROB) scan per idle query.
  *  - All ring-buffer walks use wrap-around index arithmetic; the
@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -171,13 +172,10 @@ class OooCore
     void setCommitHookMask(std::uint32_t mask) { commitHookMask_ = mask; }
 
     /**
-     * @name Steppable per-cycle API
-     * A lockstep multi-core driver calls begin() once, then step()
-     * every cycle until done(), then finish(). The driver owns the
-     * global clock and the hierarchy tick; step() performs one
-     * cycle's worth of commit/issue/dispatch/fetch for this core
-     * only. run() is this sequence plus the single-core idle
-     * fast-forward.
+     * @name Lockstep API
+     * A driver arms each core with begin(), hands them all to
+     * runLockstep(), then collects each core's finish(). run() is
+     * this sequence for a single core.
      */
     ///@{
 
@@ -189,15 +187,38 @@ class OooCore
                const std::function<void(Cycle)> &on_warmup = nullptr);
 
     /**
+     * Step @p cores, all armed by begin() and sharing @p mem, through
+     * one global clock until every core is done or the livelock
+     * guard trips. Each cycle ticks the hierarchy once, then steps
+     * the cores in index order, so shared-L2 arbitration and
+     * prefetch-queue interleaving are deterministic. Idle cycles
+     * fast-forward (Tuning::skipAhead) only when *no* core made
+     * progress and no prefetch work is pending.
+     *
+     * @param on_done invoked as each core finishes, with its index
+     *        in @p cores and the cycle.
+     */
+    static void runLockstep(
+        Hierarchy &mem, std::span<OooCore> cores,
+        const std::function<void(unsigned, Cycle)> &on_done = nullptr);
+
+    /** Close the run at the cycle it ended and return the
+     *  (warmup-adjusted) statistics. */
+    CoreStats finish();
+
+    ///@}
+
+    /** Attach a timeline-event sink (nullptr detaches). */
+    void setTraceSink(TraceSink *sink) { trace_ = sink; }
+
+  private:
+    /**
      * Advance this core's pipeline through global cycle @p now. The
      * caller must have ticked the shared hierarchy to @p now first.
      * @return true when any stage made progress this cycle (used by
      *         the driver's idle fast-forward).
      */
     bool step(Cycle now);
-
-    /** True once the run's end condition was reached by step(). */
-    bool done() const { return done_; }
 
     /**
      * Earliest core-local future event (an issued instruction
@@ -221,26 +242,6 @@ class OooCore
      */
     void addSkippedCycles(Cycle skipped);
 
-    /** Close the run at cycle @p end and return the (warmup-adjusted)
-     *  statistics. */
-    CoreStats finish(Cycle end);
-
-    /** Instructions committed so far in the current run. */
-    std::uint64_t committedInsts() const { return stats_.instructions; }
-
-    /** Livelock guard for the current run's cycle count. */
-    Cycle cycleLimit() const { return cycleLimit_; }
-
-    unsigned coreId() const { return coreId_; }
-
-    ///@}
-
-    const TournamentBP &branchPredictor() const { return bp_; }
-
-    /** Attach a timeline-event sink (nullptr detaches). */
-    void setTraceSink(TraceSink *sink) { trace_ = sink; }
-
-  private:
     /**
      * One in-flight instruction. Identified by its trace index (==
      * sequence number); the record itself is read from the trace's
@@ -252,10 +253,10 @@ class OooCore
         /** Sequence numbers (== trace indices, which fit 32 bits by
          *  construction of FetchEntry::idx) of the in-flight
          *  producers of the two source operands (NoProducer when the
-         *  value is already architectural). Precomputed by the SoA
-         *  decode or captured at dispatch — this is register
-         *  renaming, so WAR/WAW reuse of an architectural register
-         *  never stalls. */
+         *  value is already architectural), copied from the SoA
+         *  decode at dispatch — this is register renaming, so
+         *  WAR/WAW reuse of an architectural register never
+         *  stalls. */
         std::uint32_t src1Seq = ~std::uint32_t(0);
         std::uint32_t src2Seq = ~std::uint32_t(0);
         std::uint32_t idx = 0; ///< trace index == sequence number
@@ -284,11 +285,6 @@ class OooCore
         if (p >= params_.robSize)
             p -= params_.robSize;
         return p;
-    }
-
-    const TraceRecord &recOf(const RobEntry &e) const
-    {
-        return records_[e.idx];
     }
 
     void noteStore(LineAddr line);
@@ -341,8 +337,7 @@ class OooCore
     /** Contiguous record array of the running trace. */
     const TraceRecord *records_ = nullptr;
     std::size_t traceSize_ = 0;
-    /** SoA pre-decode of the running trace; nullptr in fallback
-     *  (per-record) mode. */
+    /** SoA pre-decode of the running trace. */
     const DecodedTrace *decoded_ = nullptr;
     std::uint64_t maxInsts_ = 0;
     std::uint64_t warmupInsts_ = 0;
@@ -354,6 +349,8 @@ class OooCore
     CoreStats warmSnapshot_;
     bool warmed_ = true;
     bool done_ = false;
+    /** Cycle the run ended (set by step() or the livelock guard). */
+    Cycle endCycle_ = 0;
     /** ROB as a ring buffer so entry offsets stay stable across
      *  pops. */
     std::vector<RobEntry> rob_;
@@ -377,11 +374,6 @@ class OooCore
     std::vector<FetchEntry> fetchQueue_;
     std::size_t fqHead_ = 0;
     std::size_t fqCount_ = 0;
-    /** Register renaming (fallback mode only): the sequence number of
-     *  the latest dispatched producer of each architectural
-     *  register. The batch path reads the same information from the
-     *  pre-decode. */
-    std::uint32_t regProducer_[NumArchRegs];
     std::uint64_t headSeq_ = 0; ///< sequence number of the ROB head
     std::size_t traceIdx_ = 0;
     Cycle fetchAllowedAt_ = 0;
@@ -402,7 +394,6 @@ class OooCore
     {
         return (line * 0x9E3779B97F4A7C15ull) >> 57;
     }
-    bool fetchInBlock_ = false;
     bool lastCommittedInBlock_ = false;
     /** First offset in the ROB that may hold an unissued entry; issue
      *  never needs to look before it. */

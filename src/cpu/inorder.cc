@@ -30,7 +30,7 @@ InOrderCore::run(const Trace &trace, std::uint64_t max_insts,
     Cycle now = 0;
     Cycle reg_ready[NumArchRegs] = {};
     LineAddr last_fetch_line = ~LineAddr(0);
-    bool in_block = false;
+    const DecodedTrace &decoded = trace.ensureDecoded();
 
     auto src_ready = [&](const TraceRecord &rec) {
         Cycle t = now;
@@ -48,7 +48,7 @@ InOrderCore::run(const Trace &trace, std::uint64_t max_insts,
         mem_.tick(now);
 
         // Fetch through the L1I, one line at a time.
-        const LineAddr fetch_line = lineOf(rec.pc);
+        const LineAddr fetch_line = decoded.pcLine[i];
         if (fetch_line != last_fetch_line) {
             auto out = mem_.fetch(rec.pc, now);
             while (!out.ok) {
@@ -124,16 +124,12 @@ InOrderCore::run(const Trace &trace, std::uint64_t max_insts,
           }
         }
 
-        if (rec.cls == InstClass::BlockBegin)
-            in_block = true;
-        if (in_block || rec.cls == InstClass::BlockEnd)
+        if (decoded.flags[i] & DecodedTrace::InBlock)
             stats.loopCycles += now - record_start;
         if (on_commit)
             on_commit(rec, mem_out, now);
         if (trace_ && trace_->wants(now))
             trace_->counter("core.commit", now, 1);
-        if (rec.cls == InstClass::BlockEnd)
-            in_block = false;
 
         ++stats.instructions;
         if (!warmed && stats.instructions >= warmup_insts) {

@@ -41,8 +41,6 @@ class InOrderCore
                   const std::function<void(Cycle)> &on_warmup =
                       nullptr);
 
-    const TournamentBP &branchPredictor() const { return bp_; }
-
     /** Attach a timeline-event sink (nullptr detaches). */
     void setTraceSink(TraceSink *sink) { trace_ = sink; }
 

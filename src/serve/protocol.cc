@@ -6,6 +6,7 @@
 #include "base/json.hh"
 #include "prefetch/registry.hh"
 #include "sim/checkpoint.hh"
+#include "sim/experiment.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -160,22 +161,14 @@ jobSpecJson(const JobSpec &spec)
     return w.str();
 }
 
-std::string
-configTagFor(const JobSpec &spec)
+SystemConfig
+configFor(const JobSpec &spec)
 {
-    // Mirror of runMatrix's config_tag so the fingerprint of a shard
-    // checkpoint matches what a serial checkpointed run would write.
-    std::string tag = spec.dramBackend;
-    if (spec.cores > 1)
-        tag += "+cores" + std::to_string(spec.cores);
-    if (!spec.pfOpts.empty()) {
-        std::vector<std::string> opts = spec.pfOpts;
-        std::sort(opts.begin(), opts.end());
-        tag += "+opt:";
-        for (const auto &opt : opts)
-            tag += opt + ",";
-    }
-    return tag;
+    SystemConfig config;
+    config.mem.numCores = spec.cores;
+    config.mem.dramBackend = spec.dramBackend;
+    config.pfOpts = spec.pfOpts;
+    return config;
 }
 
 std::uint64_t
@@ -185,7 +178,8 @@ jobFingerprint(const JobSpec &spec)
     // checkpoint header carries them separately); the job key must
     // distinguish them, so fold them in on top.
     std::uint64_t hash = checkpointFingerprint(
-        spec.workloads, spec.schemes, configTagFor(spec));
+        spec.workloads, spec.schemes,
+        checkpointConfigTag(configFor(spec)));
     constexpr std::uint64_t prime = 0x100000001b3ull;
     hash = (hash ^ spec.insts) * prime;
     hash = (hash ^ spec.seed) * prime;

@@ -34,6 +34,7 @@
 
 #include "base/jsonparse.hh"
 #include "base/result.hh"
+#include "sim/config.hh"
 
 namespace cbws
 {
@@ -84,12 +85,9 @@ Result<JobSpec> parseJobSpec(const JsonValue &v);
 /** Canonical JSON object for @p spec (spool files, ack echos). */
 std::string jobSpecJson(const JobSpec &spec);
 
-/**
- * The config tag runMatrix derives for checkpoint fingerprints,
- * reproduced so shard checkpoints and an in-process serial run of the
- * same spec agree on compatibility.
- */
-std::string configTagFor(const JobSpec &spec);
+/** The SystemConfig a spec's cells simulate under (scheme unset —
+ *  it is per-cell). Mirrors the cbws-sim flag mapping. */
+SystemConfig configFor(const JobSpec &spec);
 
 /**
  * Content fingerprint identifying a job's result: the checkpoint

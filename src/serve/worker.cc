@@ -9,7 +9,6 @@
 #include "base/faultinject.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
-#include "base/tuning.hh"
 #include "sim/checkpoint.hh"
 #include "sim/report.hh"
 #include "workloads/registry.hh"
@@ -64,16 +63,6 @@ progressLine(std::size_t cell, const SimResult &res, bool restored)
 
 } // anonymous namespace
 
-SystemConfig
-configFor(const JobSpec &spec)
-{
-    SystemConfig config;
-    config.mem.numCores = spec.cores;
-    config.mem.dramBackend = spec.dramBackend;
-    config.pfOpts = spec.pfOpts;
-    return config;
-}
-
 Result<std::vector<WorkloadPtr>>
 resolveWorkloads(const JobSpec &spec)
 {
@@ -102,7 +91,8 @@ shardHeader(const JobSpec &spec)
     header.insts = spec.insts;
     header.seed = spec.seed;
     header.fingerprint = checkpointFingerprint(
-        spec.workloads, spec.schemes, configTagFor(spec));
+        spec.workloads, spec.schemes,
+        checkpointConfigTag(configFor(spec)));
     return header;
 }
 
@@ -137,7 +127,6 @@ runWorkerShard(const JobSpec &spec, const std::string &job_dir,
     WorkloadParams params;
     params.maxInstructions = spec.insts;
     params.seed = spec.seed;
-    const std::uint64_t warmup = spec.insts / 4;
     const std::size_t num_kinds = spec.schemes.size();
     const std::size_t total = spec.cellCount();
 
@@ -146,7 +135,6 @@ runWorkerShard(const JobSpec &spec, const std::string &job_dir,
     // every workload, but a resumed shard may skip rows entirely.
     std::vector<Trace> traces(workloads.size());
     std::vector<char> have_trace(workloads.size(), 0);
-    const bool batch_decode = Tuning::get().batchDecode;
 
     bool interrupted = false;
     for (std::size_t i = shard; i < total; i += num_shards) {
@@ -169,26 +157,11 @@ runWorkerShard(const JobSpec &spec, const std::string &job_dir,
         if (!have_trace[w]) {
             traces[w].reserve(spec.insts + 512);
             workloads[w]->generate(traces[w], params);
-            if (batch_decode)
-                traces[w].ensureDecoded();
             have_trace[w] = 1;
         }
 
-        SystemConfig cell_config = config;
-        cell_config.scheme = scheme;
-        SimResult res;
-        if (cell_config.mem.numCores > 1) {
-            const std::vector<const Trace *> core_traces(
-                cell_config.mem.numCores, &traces[w]);
-            const std::vector<std::string> core_names(
-                cell_config.mem.numCores, workload);
-            res = simulateMulti(core_traces, core_names, cell_config,
-                                spec.insts, SimProbes(), warmup);
-        } else {
-            res = simulate(traces[w], cell_config, spec.insts,
-                           SimProbes(), warmup);
-        }
-        res.workload = workload;
+        const SimResult res = runMatrixCell(traces[w], workload, config,
+                                            scheme, spec.insts);
 
         Result<void> appended = checkpoint.append(res);
         if (!appended.ok())

@@ -31,10 +31,6 @@ namespace cbws
 namespace serve
 {
 
-/** The SystemConfig a spec's cells simulate under (scheme unset —
- *  it is per-cell). Mirrors the cbws-sim flag mapping. */
-SystemConfig configFor(const JobSpec &spec);
-
 /** Resolve spec.workloads against the registry. The spec was
  *  validated at submission, so failure here means the registry
  *  changed under us — reported, not fatal. */

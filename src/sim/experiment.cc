@@ -12,7 +12,6 @@
 #include "base/profiler.hh"
 #include "base/progress.hh"
 #include "base/threadpool.hh"
-#include "base/tuning.hh"
 #include "sim/checkpoint.hh"
 
 namespace cbws
@@ -213,23 +212,8 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
         Checkpoint::Header header;
         header.insts = max_insts;
         header.seed = seed;
-        // The DRAM backend changes every completion cycle, the core
-        // count changes every counter, and pf-opts change the
-        // prefetchers themselves, so checkpoints from differently
-        // configured runs must never cross-resume.
-        std::string config_tag = base_config.mem.dramBackend;
-        if (base_config.mem.numCores > 1)
-            config_tag += "+cores" +
-                          std::to_string(base_config.mem.numCores);
-        if (!base_config.pfOpts.empty()) {
-            std::vector<std::string> opts = base_config.pfOpts;
-            std::sort(opts.begin(), opts.end());
-            config_tag += "+opt:";
-            for (const auto &opt : opts)
-                config_tag += opt + ",";
-        }
         header.fingerprint = checkpointFingerprint(
-            workload_names, schemes, config_tag);
+            workload_names, schemes, checkpointConfigTag(base_config));
         Result<void> opened =
             checkpoint.open(options.checkpointPath, header);
         // A bad checkpoint is a user error (wrong path or stale
@@ -255,7 +239,6 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
     // because Trace::ensureDecoded() is not safe to race from the
     // simulation phase's concurrent cells; afterwards all kinds of a
     // row replay the same read-only buffers.
-    const bool batch_decode = Tuning::get().batchDecode;
     std::vector<Trace> traces(num_workloads);
     std::vector<char> trace_done(num_workloads, 0);
     {
@@ -268,25 +251,20 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
             Trace &trace = traces[w];
             const TraceCache::Key key{workloads[w]->name(), max_insts,
                                       seed};
-            if (options.traceCache &&
-                options.traceCache->load(key, trace).ok()) {
-                if (batch_decode)
-                    trace.ensureDecoded();
-                trace_done[w] = 1;
-                meter.advance(true);
-                return;
+            const bool cached = options.traceCache &&
+                                options.traceCache->load(key, trace).ok();
+            if (!cached) {
+                {
+                    PROF_SCOPE(prof::Phase::TraceSynthesis);
+                    trace.reserve(max_insts + 512);
+                    workloads[w]->generate(trace, params);
+                }
+                if (options.traceCache)
+                    options.traceCache->store(key, trace);
             }
-            {
-                PROF_SCOPE(prof::Phase::TraceSynthesis);
-                trace.reserve(max_insts + 512);
-                workloads[w]->generate(trace, params);
-            }
-            if (options.traceCache)
-                options.traceCache->store(key, trace);
-            if (batch_decode)
-                trace.ensureDecoded();
+            trace.ensureDecoded();
             trace_done[w] = 1;
-            meter.advance(false);
+            meter.advance(cached);
         });
     }
 
@@ -300,10 +278,7 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
 
     // Phase 2: the workloads x kinds cells, each an independent
     // simulated system replaying a shared read-only trace into its
-    // preassigned result slot. A quarter of the budget warms caches
-    // and predictors (the paper fast-forwards past initialisation
-    // instead).
-    const std::uint64_t warmup = max_insts / 4;
+    // preassigned result slot.
     std::vector<char> cell_done(num_workloads * num_kinds, 0);
     ProgressMeter meter("simulation", num_workloads * num_kinds,
                         progress);
@@ -326,23 +301,9 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
                 return;
             }
         }
-        SystemConfig config = base_config;
-        config.scheme = schemes[k];
-        SimResult res;
-        if (config.mem.numCores > 1) {
-            // Rate mode: every core replays its own copy of the same
-            // workload trace, contending for the shared L2/DRAM.
-            const std::vector<const Trace *> core_traces(
-                config.mem.numCores, &traces[w]);
-            const std::vector<std::string> core_names(
-                config.mem.numCores, matrix.rows[w].workload);
-            res = simulateMulti(core_traces, core_names, config,
-                                max_insts, SimProbes(), warmup);
-        } else {
-            res = simulate(traces[w], config, max_insts, SimProbes(),
-                           warmup);
-        }
-        res.workload = matrix.rows[w].workload;
+        SimResult res = runMatrixCell(traces[w], matrix.rows[w].workload,
+                                      base_config, schemes[k],
+                                      max_insts);
         if (checkpoint.isOpen()) {
             Result<void> appended = checkpoint.append(res);
             if (!appended.ok())
@@ -382,6 +343,42 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
             std::exit(130);
     }
     return matrix;
+}
+
+SimResult
+runMatrixCell(const Trace &trace, const std::string &workload,
+              const SystemConfig &base_config, const std::string &scheme,
+              std::uint64_t max_insts)
+{
+    SystemConfig config = base_config;
+    config.scheme = scheme;
+    const unsigned cores = config.mem.numCores;
+    // A quarter of the budget warms caches and predictors (the paper
+    // fast-forwards past initialisation instead).
+    SimResult res = simulateMulti(
+        std::vector<const Trace *>(cores, &trace),
+        std::vector<std::string>(cores, workload), config, max_insts,
+        SimProbes(), max_insts / 4);
+    // A rate-mode cell is named after its one workload, not the
+    // per-core join.
+    res.workload = workload;
+    return res;
+}
+
+std::string
+checkpointConfigTag(const SystemConfig &config)
+{
+    std::string tag = config.mem.dramBackend;
+    if (config.mem.numCores > 1)
+        tag += "+cores" + std::to_string(config.mem.numCores);
+    if (!config.pfOpts.empty()) {
+        std::vector<std::string> opts = config.pfOpts;
+        std::sort(opts.begin(), opts.end());
+        tag += "+opt:";
+        for (const auto &opt : opts)
+            tag += opt + ",";
+    }
+    return tag;
 }
 
 std::uint64_t

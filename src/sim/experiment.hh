@@ -179,6 +179,27 @@ runMatrix(const std::vector<WorkloadPtr> &workloads,
           const MatrixOptions &options = MatrixOptions());
 
 /**
+ * One matrix cell: @p scheme on @p trace (the workload named
+ * @p workload) under @p base_config, replaying @p max_insts with a
+ * quarter-budget warmup. With base_config.mem.numCores > 1 the cell
+ * runs in rate mode: every core replays its own copy of the trace
+ * through the shared L2/DRAM. The serve worker's shards run exactly
+ * this, so their cells match runMatrix's byte for byte.
+ */
+SimResult runMatrixCell(const Trace &trace, const std::string &workload,
+                        const SystemConfig &base_config,
+                        const std::string &scheme,
+                        std::uint64_t max_insts);
+
+/**
+ * The configuration part of a matrix checkpoint's fingerprint: the
+ * DRAM backend changes every completion cycle, the core count every
+ * counter, and pf-opts the prefetchers themselves, so checkpoints of
+ * differently configured runs must never cross-resume.
+ */
+std::string checkpointConfigTag(const SystemConfig &config);
+
+/**
  * Instruction budget for the benches: the CBWS_BENCH_INSTS
  * environment variable, or @p fallback when unset.
  */

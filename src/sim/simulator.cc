@@ -1,10 +1,10 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "base/logging.hh"
 #include "base/profiler.hh"
-#include "base/tuning.hh"
 #include "cpu/inorder.hh"
 #include "prefetch/composite.hh"
 #include "sim/snapshot.hh"
@@ -55,177 +55,70 @@ cbwsComponent(Prefetcher *prefetcher)
 /**
  * Commit-hook class mask for the standard prefetcher-training hook:
  * it only acts on memory retires and block markers, so everything
- * else can skip the std::function dispatch. A snapshot probe samples
- * *every* commit, so its presence forces the full mask.
+ * else can skip the std::function dispatch. (A snapshot probe samples
+ * *every* commit, so its presence forces the full mask.)
  */
-std::uint32_t
-commitMaskFor(bool has_snapshot)
+constexpr std::uint32_t TrainingCommitMask =
+    OooCore::classBit(InstClass::Load) |
+    OooCore::classBit(InstClass::Store) |
+    OooCore::classBit(InstClass::BlockBegin) |
+    OooCore::classBit(InstClass::BlockEnd);
+
+/** The prefetcher's view of one memory access and its outcome. */
+PrefetchContext
+makeContext(const TraceRecord &rec, const AccessOutcome &out)
 {
-    if (has_snapshot)
-        return ~std::uint32_t(0);
-    return OooCore::classBit(InstClass::Load) |
-           OooCore::classBit(InstClass::Store) |
-           OooCore::classBit(InstClass::BlockBegin) |
-           OooCore::classBit(InstClass::BlockEnd);
+    PrefetchContext ctx;
+    ctx.pc = rec.pc;
+    ctx.addr = rec.effAddr;
+    ctx.line = rec.line();
+    ctx.isWrite = rec.cls == InstClass::Store;
+    ctx.l1Hit = out.l1Hit;
+    ctx.l2Miss = out.cls == DemandClass::Shorter ||
+                 out.cls == DemandClass::NonTimely ||
+                 out.cls == DemandClass::Missing;
+    return ctx;
 }
 
-} // anonymous namespace
-
-SimResult
-simulate(const Trace &trace, const SystemConfig &config,
-         std::uint64_t max_insts, const SimProbes &probes,
-         std::uint64_t warmup_insts)
+/** Snapshot gauges over @p cbws's table (empty when it is null). */
+SnapshotWriter::CbwsGauges
+cbwsGauges(const CbwsPrefetcher *cbws)
 {
-    Hierarchy mem(config.mem);
-    auto prefetcher = makePrefetcher(config);
-    HierarchySink sink(mem);
-
-    CbwsPrefetcher *cbws_pf = cbwsComponent(prefetcher.get());
-
-    if (probes.differentials && cbws_pf)
-        cbws_pf->setDifferentialProbe(probes.differentials);
-
-    if (probes.trace)
-        mem.setTraceSink(probes.trace);
-
-    if (probes.snapshot) {
-        probes.snapshot->begin(prefetcher->name(), mem);
-        if (cbws_pf) {
-            SnapshotWriter::CbwsGauges gauges;
-            gauges.occupancy = [cbws_pf] {
-                return static_cast<std::uint64_t>(
-                    cbws_pf->table().occupancy());
-            };
-            gauges.capacity = [cbws_pf] {
-                return static_cast<std::uint64_t>(
-                    cbws_pf->table().capacity());
-            };
-            gauges.tableHits = [cbws_pf] {
-                return cbws_pf->schemeStats().tableHits;
-            };
-            gauges.tableMisses = [cbws_pf] {
-                return cbws_pf->schemeStats().tableMisses;
-            };
-            probes.snapshot->setCbwsGauges(std::move(gauges));
-        } else {
-            probes.snapshot->setCbwsGauges(SnapshotWriter::CbwsGauges());
-        }
-    }
-
-    OooCore core(config.core, mem);
-    auto make_context = [](const TraceRecord &rec,
-                           const AccessOutcome &out) {
-        PrefetchContext ctx;
-        ctx.pc = rec.pc;
-        ctx.addr = rec.effAddr;
-        ctx.line = rec.line();
-        ctx.isWrite = rec.cls == InstClass::Store;
-        ctx.l1Hit = out.l1Hit;
-        ctx.l2Miss = out.cls == DemandClass::Shorter ||
-                     out.cls == DemandClass::NonTimely ||
-                     out.cls == DemandClass::Missing;
-        return ctx;
+    SnapshotWriter::CbwsGauges gauges;
+    if (!cbws)
+        return gauges;
+    gauges.occupancy = [cbws] {
+        return static_cast<std::uint64_t>(cbws->table().occupancy());
     };
-    auto on_commit = [&](const TraceRecord &rec,
-                         const AccessOutcome &out, Cycle now) {
-        if (probes.snapshot)
-            probes.snapshot->onCommit(now);
-        // The scope sits inside the dispatch so commits that never
-        // reach the prefetcher (plain ALU/branch retires, i.e. most
-        // of the stream) pay nothing while profiling.
-        switch (rec.cls) {
-          case InstClass::Load:
-          case InstClass::Store: {
-            PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-            prefetcher->observe(
-                PrefetchEvent{PfStage::Commit, make_context(rec, out)},
-                sink);
-            break;
-          }
-          case InstClass::BlockBegin: {
-            PROF_SCOPE(prof::Phase::PfObserve);
-            prefetcher->blockBegin(rec.blockId, sink);
-            break;
-          }
-          case InstClass::BlockEnd: {
-            PROF_SCOPE(prof::Phase::PfObserve);
-            prefetcher->blockEnd(rec.blockId, sink);
-            break;
-          }
-          default:
-            break;
-        }
+    gauges.capacity = [cbws] {
+        return static_cast<std::uint64_t>(cbws->table().capacity());
     };
-    auto on_access = [&](const TraceRecord &rec,
-                         const AccessOutcome &out, Cycle now) {
-        (void)now;
-        PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-        prefetcher->observe(
-            PrefetchEvent{PfStage::Access, make_context(rec, out)},
-            sink);
+    gauges.tableHits = [cbws] { return cbws->schemeStats().tableHits; };
+    gauges.tableMisses = [cbws] {
+        return cbws->schemeStats().tableMisses;
     };
-
-    auto on_warmup = [&mem, &probes](Cycle now) {
-        mem.resetStats();
-        if (probes.snapshot)
-            probes.snapshot->onWarmupBoundary(now);
-    };
-
-    SimResult result;
-    result.prefetcher = prefetcher->name();
-    result.dramBackend = mem.dram().name();
-    if (config.coreModel == CoreModel::InOrder) {
-        InOrderCore inorder(config.core, mem);
-        inorder.setTraceSink(probes.trace);
-        result.core =
-            inorder.run(trace, max_insts, on_commit, on_access,
-                        warmup_insts, on_warmup);
-    } else {
-        core.setTraceSink(probes.trace);
-        core.setCommitHookMask(commitMaskFor(probes.snapshot != nullptr));
-        result.core =
-            core.run(trace, max_insts, on_commit, on_access,
-                     warmup_insts, on_warmup);
-    }
-    mem.finalize();
-    result.mem = mem.stats();
-    result.prefetcherStorageBits = prefetcher->storageBits();
-    if (probes.schemeMetrics)
-        prefetcher->exportMetrics(*probes.schemeMetrics, "pf.scheme");
-    if (probes.snapshot)
-        probes.snapshot->finalize(result);
-    return result;
+    return gauges;
 }
 
+/**
+ * The one simulation driver: one core per trace, all sharing the L2
+ * + DRAM backend of one Hierarchy built from @p config as given, each
+ * with a private prefetcher instance. N=1 is the paper's single-core
+ * system and reports no per-core slices; N>1 names the result and its
+ * slices from @p names.
+ */
 SimResult
-simulateMulti(const std::vector<const Trace *> &traces,
-              const std::vector<std::string> &workload_names,
-              const SystemConfig &config, std::uint64_t max_insts,
-              const SimProbes &probes, std::uint64_t warmup_insts)
+runSystem(std::span<const Trace *const> traces,
+          std::span<const std::string> names, const SystemConfig &config,
+          std::uint64_t max_insts, const SimProbes &probes,
+          std::uint64_t warmup_insts)
 {
-    fatal_if(traces.empty(), "simulateMulti: no traces");
-    fatal_if(workload_names.size() != traces.size(),
-             "simulateMulti: %zu traces but %zu workload names",
-             traces.size(), workload_names.size());
-    fatal_if(config.coreModel == CoreModel::InOrder,
+    const unsigned n = static_cast<unsigned>(traces.size());
+    fatal_if(n > 1 && config.coreModel == CoreModel::InOrder,
              "simulateMulti: multi-core requires the out-of-order "
              "core model");
 
-    const unsigned n = static_cast<unsigned>(traces.size());
-    if (n == 1) {
-        // One core: take the historic single-core path so the result
-        // is bit-identical to pre-multicore builds.
-        SystemConfig one = config;
-        one.mem.numCores = 1;
-        SimResult result = simulate(*traces[0], one, max_insts, probes,
-                                    warmup_insts);
-        result.workload = workload_names[0];
-        return result;
-    }
-
-    SystemConfig cfg = config;
-    cfg.mem.numCores = n;
-    Hierarchy mem(cfg.mem);
+    Hierarchy mem(config.mem);
     if (probes.trace)
         mem.setTraceSink(probes.trace);
 
@@ -233,7 +126,7 @@ simulateMulti(const std::vector<const Trace *> &traces,
     std::vector<std::unique_ptr<Prefetcher>> prefetchers;
     std::vector<std::unique_ptr<HierarchySink>> sinks;
     for (unsigned c = 0; c < n; ++c) {
-        prefetchers.push_back(makePrefetcher(cfg));
+        prefetchers.push_back(makePrefetcher(config));
         sinks.push_back(std::make_unique<HierarchySink>(mem, c));
     }
 
@@ -243,44 +136,11 @@ simulateMulti(const std::vector<const Trace *> &traces,
     if (probes.differentials && cbws0)
         cbws0->setDifferentialProbe(probes.differentials);
     if (probes.snapshot) {
-        probes.snapshot->setCores(n);
+        if (n > 1)
+            probes.snapshot->setCores(n);
         probes.snapshot->begin(prefetchers[0]->name(), mem);
-        if (cbws0) {
-            SnapshotWriter::CbwsGauges gauges;
-            gauges.occupancy = [cbws0] {
-                return static_cast<std::uint64_t>(
-                    cbws0->table().occupancy());
-            };
-            gauges.capacity = [cbws0] {
-                return static_cast<std::uint64_t>(
-                    cbws0->table().capacity());
-            };
-            gauges.tableHits = [cbws0] {
-                return cbws0->schemeStats().tableHits;
-            };
-            gauges.tableMisses = [cbws0] {
-                return cbws0->schemeStats().tableMisses;
-            };
-            probes.snapshot->setCbwsGauges(std::move(gauges));
-        } else {
-            probes.snapshot->setCbwsGauges(
-                SnapshotWriter::CbwsGauges());
-        }
+        probes.snapshot->setCbwsGauges(cbwsGauges(cbws0));
     }
-
-    auto make_context = [](const TraceRecord &rec,
-                           const AccessOutcome &out) {
-        PrefetchContext ctx;
-        ctx.pc = rec.pc;
-        ctx.addr = rec.effAddr;
-        ctx.line = rec.line();
-        ctx.isWrite = rec.cls == InstClass::Store;
-        ctx.l1Hit = out.l1Hit;
-        ctx.l2Miss = out.cls == DemandClass::Shorter ||
-                     out.cls == DemandClass::NonTimely ||
-                     out.cls == DemandClass::Missing;
-        return ctx;
-    };
 
     // The shared hierarchy resets its statistics when the *last* core
     // crosses its warmup boundary (per-core windows are subtracted
@@ -298,28 +158,27 @@ simulateMulti(const std::vector<const Trace *> &traces,
         }
     };
 
-    std::vector<std::unique_ptr<OooCore>> cores;
+    std::vector<OooCore::CommitHook> on_commit;
+    std::vector<OooCore::AccessHook> on_access;
+    std::vector<std::function<void(Cycle)>> on_warmup;
     for (unsigned c = 0; c < n; ++c) {
-        cores.push_back(
-            std::make_unique<OooCore>(cfg.core, mem, c));
-        cores[c]->setTraceSink(probes.trace);
-        cores[c]->setCommitHookMask(
-            commitMaskFor(c == 0 && probes.snapshot != nullptr));
         Prefetcher *pf = prefetchers[c].get();
         PrefetchSink *sink = sinks[c].get();
-        auto on_commit = [&, c, pf, sink](const TraceRecord &rec,
-                                          const AccessOutcome &out,
-                                          Cycle now) {
-            if (c == 0 && probes.snapshot)
-                probes.snapshot->onCommit(now);
-            // Scope inside the dispatch: non-memory retires skip it
-            // (see the single-core hook above).
+        SnapshotWriter *snapshot = c == 0 ? probes.snapshot : nullptr;
+        on_commit.push_back([pf, sink, snapshot](
+                                const TraceRecord &rec,
+                                const AccessOutcome &out, Cycle now) {
+            if (snapshot)
+                snapshot->onCommit(now);
+            // The scope sits inside the dispatch so commits that
+            // never reach the prefetcher (plain ALU/branch retires,
+            // i.e. most of the stream) pay nothing while profiling.
             switch (rec.cls) {
               case InstClass::Load:
               case InstClass::Store: {
                 PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
                 pf->observe(PrefetchEvent{PfStage::Commit,
-                                          make_context(rec, out)},
+                                          makeContext(rec, out)},
                             *sink);
                 break;
               }
@@ -336,85 +195,48 @@ simulateMulti(const std::vector<const Trace *> &traces,
               default:
                 break;
             }
-        };
-        auto on_access = [pf, sink, make_context](
-                             const TraceRecord &rec,
-                             const AccessOutcome &out, Cycle now) {
-            (void)now;
+        });
+        on_access.push_back([pf, sink](const TraceRecord &rec,
+                                       const AccessOutcome &out,
+                                       Cycle) {
             PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 15);
-            pf->observe(PrefetchEvent{PfStage::Access,
-                                      make_context(rec, out)},
-                        *sink);
-        };
-        auto on_warmup = [&cross_warmup, c](Cycle now) {
-            cross_warmup(c, now);
-        };
-        cores[c]->begin(*traces[c], max_insts, on_commit, on_access,
-                        warmup_insts, on_warmup);
+            pf->observe(
+                PrefetchEvent{PfStage::Access, makeContext(rec, out)},
+                *sink);
+        });
+        on_warmup.push_back(
+            [&cross_warmup, c](Cycle now) { cross_warmup(c, now); });
     }
 
-    // ---- Lockstep cycle driver ----
-    // All cores step through the same global cycle, core 0 first, so
-    // shared-L2 bank arbitration and prefetch-queue interleaving are
-    // deterministic. Idle cycles fast-forward only when *every* core
-    // is stalled and no prefetch work is pending.
-    constexpr Cycle Never = ~Cycle(0);
-    const bool skip_ahead = Tuning::get().skipAhead;
-    Cycle now = 0;
-    const Cycle cycle_limit = cores[0]->cycleLimit();
-    std::vector<Cycle> end_cycle(n, 0);
-    std::vector<bool> finished(n, false);
-    unsigned running = n;
-    while (running > 0) {
-        mem.tick(now);
-        const std::uint64_t mshr_stalls0 = mem.stats().mshrStalls;
-        bool worked = false;
+    std::vector<CoreStats> core_stats(n);
+    if (config.coreModel == CoreModel::InOrder) {
+        InOrderCore inorder(config.core, mem);
+        inorder.setTraceSink(probes.trace);
+        core_stats[0] = inorder.run(*traces[0], max_insts, on_commit[0],
+                                    on_access[0], warmup_insts,
+                                    on_warmup[0]);
+    } else {
+        std::vector<OooCore> cores;
+        cores.reserve(n);
         for (unsigned c = 0; c < n; ++c) {
-            if (finished[c])
-                continue;
-            worked = cores[c]->step(now) || worked;
-            if (cores[c]->done()) {
-                finished[c] = true;
-                end_cycle[c] = now;
-                --running;
-                // A trace that ends before its warmup boundary still
-                // releases the shared reset.
-                cross_warmup(c, now);
-            }
+            OooCore &core = cores.emplace_back(config.core, mem, c);
+            core.setTraceSink(probes.trace);
+            core.setCommitHookMask(c == 0 && probes.snapshot
+                                       ? ~std::uint32_t(0)
+                                       : TrainingCommitMask);
+            core.begin(*traces[c], max_insts, on_commit[c], on_access[c],
+                       warmup_insts, on_warmup[c]);
         }
-        if (running == 0)
-            break;
-        if (skip_ahead && !worked && !mem.prefetchWorkPending()) {
-            Cycle next_event = mem.nextEventCycle();
-            for (unsigned c = 0; c < n; ++c) {
-                if (finished[c])
-                    continue;
-                const Cycle local = cores[c]->nextLocalEvent(now);
-                if (local < next_event)
-                    next_event = local;
-            }
-            if (next_event != Never && next_event > now + 1) {
-                const Cycle skipped = next_event - now - 1;
-                for (unsigned c = 0; c < n; ++c)
-                    if (!finished[c])
-                        cores[c]->addSkippedCycles(skipped);
-                // Replay the failed-retry stall counts the skipped
-                // repeats of this frozen cycle would have added.
-                mem.addSkippedMshrStalls(
-                    (mem.stats().mshrStalls - mshr_stalls0) *
-                    skipped);
-                now += skipped;
-            }
-        }
-        ++now;
-        if (now > cycle_limit) {
-            warn("simulateMulti: cycle limit reached (%llu cycles); "
-                 "possible livelock",
-                 static_cast<unsigned long long>(now));
-            break;
-        }
+        // A core whose trace ends before its warmup boundary still
+        // releases the shared reset for the cores still running. A
+        // lone core keeps the whole run's statistics instead.
+        std::function<void(unsigned, Cycle)> on_done;
+        if (n > 1)
+            on_done = cross_warmup;
+        OooCore::runLockstep(mem, cores, on_done);
+        for (unsigned c = 0; c < n; ++c)
+            core_stats[c] = cores[c].finish();
     }
-
     mem.finalize();
 
     SimResult result;
@@ -423,40 +245,69 @@ simulateMulti(const std::vector<const Trace *> &traces,
     result.dramBackend = mem.dram().name();
     result.mem = mem.stats();
     result.prefetcherStorageBits = prefetchers[0]->storageBits();
-    result.perCore.resize(n);
     for (unsigned c = 0; c < n; ++c) {
-        CoreSliceResult &slice = result.perCore[c];
-        slice.workload = workload_names[c];
-        slice.core =
-            cores[c]->finish(finished[c] ? end_cycle[c] : now);
-        if (c < result.mem.perCore.size())
-            slice.mem = result.mem.perCore[c];
+        const CoreStats &core = core_stats[c];
         // Aggregate: instructions and event counts sum across cores;
         // the run lasts as long as its slowest core.
-        result.core.instructions += slice.core.instructions;
-        result.core.memInstructions += slice.core.memInstructions;
-        result.core.branches += slice.core.branches;
-        result.core.branchMispredicts += slice.core.branchMispredicts;
-        result.core.loopCycles += slice.core.loopCycles;
-        result.core.robFullStalls += slice.core.robFullStalls;
-        result.core.lsqFullStalls += slice.core.lsqFullStalls;
-        result.core.cycles =
-            std::max(result.core.cycles, slice.core.cycles);
-        if (c == 0) {
-            result.workload = slice.workload;
-        } else {
-            result.workload += "+" + slice.workload;
-        }
+        result.core.instructions += core.instructions;
+        result.core.memInstructions += core.memInstructions;
+        result.core.branches += core.branches;
+        result.core.branchMispredicts += core.branchMispredicts;
+        result.core.loopCycles += core.loopCycles;
+        result.core.robFullStalls += core.robFullStalls;
+        result.core.lsqFullStalls += core.lsqFullStalls;
+        result.core.cycles = std::max(result.core.cycles, core.cycles);
+        if (n == 1)
+            continue;
+        CoreSliceResult &slice = result.perCore.emplace_back();
+        slice.workload = names[c];
+        slice.core = core;
+        if (c < result.mem.perCore.size())
+            slice.mem = result.mem.perCore[c];
+        result.workload += (c == 0 ? "" : "+") + names[c];
     }
     if (probes.schemeMetrics) {
         for (unsigned c = 0; c < n; ++c) {
             prefetchers[c]->exportMetrics(
                 *probes.schemeMetrics,
-                "core" + std::to_string(c) + ".pf.scheme");
+                n == 1 ? std::string("pf.scheme")
+                       : "core" + std::to_string(c) + ".pf.scheme");
         }
     }
     if (probes.snapshot)
         probes.snapshot->finalize(result);
+    return result;
+}
+
+} // anonymous namespace
+
+SimResult
+simulate(const Trace &trace, const SystemConfig &config,
+         std::uint64_t max_insts, const SimProbes &probes,
+         std::uint64_t warmup_insts)
+{
+    const Trace *const one = &trace;
+    return runSystem({&one, 1}, {}, config, max_insts, probes,
+                     warmup_insts);
+}
+
+SimResult
+simulateMulti(const std::vector<const Trace *> &traces,
+              const std::vector<std::string> &workload_names,
+              const SystemConfig &config, std::uint64_t max_insts,
+              const SimProbes &probes, std::uint64_t warmup_insts)
+{
+    fatal_if(traces.empty(), "simulateMulti: no traces");
+    fatal_if(workload_names.size() != traces.size(),
+             "simulateMulti: %zu traces but %zu workload names",
+             traces.size(), workload_names.size());
+
+    SystemConfig cfg = config;
+    cfg.mem.numCores = static_cast<unsigned>(traces.size());
+    SimResult result = runSystem(traces, workload_names, cfg, max_insts,
+                                 probes, warmup_insts);
+    if (traces.size() == 1)
+        result.workload = workload_names[0];
     return result;
 }
 

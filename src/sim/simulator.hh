@@ -156,9 +156,9 @@ SimResult simulateWorkload(const Workload &workload,
  * backend of one Hierarchy, each with a private prefetcher instance.
  * Cores are stepped in lockstep, core 0 first each cycle, so results
  * are deterministic. config.mem.numCores is overridden to
- * traces.size(). With a single trace this degenerates to simulate()
- * (bit-identical to the single-core path). Requires the out-of-order
- * core model.
+ * traces.size(). simulate() is the same driver with one trace, so a
+ * single trace gives simulate()'s result, named @p workload_names[0].
+ * More than one trace requires the out-of-order core model.
  *
  * @param warmup_insts per-core warmup window; the shared hierarchy
  *        statistics reset when the *last* core crosses its boundary.

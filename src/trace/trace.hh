@@ -88,14 +88,8 @@ class Trace
     const std::vector<TraceRecord> &records() const { return records_; }
 
     /**
-     * Cached SoA pre-decode of the records (trace/decoded.hh), or
-     * nullptr when none has been built. Invalidated by any mutating
-     * access.
-     */
-    const DecodedTrace *decoded() const { return decoded_.get(); }
-
-    /**
-     * Build (and cache) the SoA pre-decode. NOT thread-safe on the
+     * Build (and cache) the SoA pre-decode, the replay input of both
+     * core models; any mutating access drops it. NOT thread-safe on the
      * first call for a given trace: when several simulation cells
      * share one Trace across worker threads, the matrix runner
      * pre-decodes in its serial-per-workload synthesis phase; after

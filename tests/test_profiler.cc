@@ -3,8 +3,9 @@
  * Tests of the host-side self-profiler (base/profiler.hh): the
  * disabled path must be near-free, the enabled path's per-phase
  * exclusive times must partition the profiled wall window, nesting
- * must charge inner scopes exclusively, and pool-worker stats must
- * fold into the report at pool teardown.
+ * must charge inner scopes exclusively, pool-worker stats must
+ * fold into the report at pool teardown, and the simulator's replay
+ * loop must be visible to it on every driver.
  *
  * Timing assertions are skipped under sanitizers — instrumentation
  * multiplies the cost of exactly the code paths under test.
@@ -21,6 +22,7 @@
 #include "base/jsonparse.hh"
 #include "base/profiler.hh"
 #include "base/threadpool.hh"
+#include "sim/simulator.hh"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define CBWS_SANITIZED 1
@@ -289,6 +291,63 @@ TEST_F(ProfilerTest, WriteJsonFileEmitsProvenanceStampedArtifact)
     ASSERT_NE(cache, nullptr);
     EXPECT_EQ(cache->uintOr("entries"), 1u);
     std::remove(path.c_str());
+}
+
+TEST_F(ProfilerTest, RenderTableSharesAreOfAttributedSeconds)
+{
+    // A --jobs N run: the phases sum over every thread, so they
+    // exceed the main thread's wall window.
+    prof::Report rep;
+    rep.enabled = true;
+    rep.wallSeconds = 1.0;
+    rep.mainThreadSeconds = 1.0;
+    rep.workerThreadSeconds = 2.3;
+    const auto set = [&rep](prof::Phase phase, double seconds) {
+        rep.phaseSeconds[static_cast<unsigned>(phase)] = seconds;
+        rep.phaseEntries[static_cast<unsigned>(phase)] = 1;
+    };
+    set(prof::Phase::Other, 0.1);
+    set(prof::Phase::Decode, 2.2);
+    set(prof::Phase::CacheLookup, 0.7);
+    set(prof::Phase::Dram, 0.3);
+
+    std::istringstream table(prof::renderTable(rep));
+    std::string line;
+    ASSERT_TRUE(std::getline(table, line));
+    EXPECT_NE(line.find("%attr"), std::string::npos) << line;
+    ASSERT_TRUE(std::getline(table, line)); // ---- rule
+    double sum = 0.0;
+    unsigned rows = 0;
+    while (std::getline(table, line) && !line.empty()) {
+        std::istringstream cols(line);
+        std::string phase;
+        double seconds = 0.0;
+        double share = -1.0;
+        cols >> phase >> seconds >> share;
+        EXPECT_GE(share, 0.0) << line;
+        EXPECT_LE(share, 100.0) << line;
+        sum += share;
+        ++rows;
+    }
+    EXPECT_EQ(rows, 4u);
+    // Each share is rounded to one decimal.
+    EXPECT_NEAR(sum, 100.0, 0.05 * rows);
+}
+
+TEST_F(ProfilerTest, MultiCoreReplayLoopIsProfiled)
+{
+    Trace trace;
+    for (unsigned i = 0; i < 200; ++i)
+        trace.append(TraceRecord::alu(0x400 + 4 * (i % 16), 1 + i % 8,
+                                      1 + (i + 3) % 8));
+    prof::enable();
+    const SimResult r = simulateMulti({&trace, &trace}, {"a", "b"},
+                                      SystemConfig(), 200);
+    ASSERT_EQ(r.perCore.size(), 2u);
+    const prof::Report rep = prof::report();
+    // One scope around the shared cycle loop, not one per core.
+    EXPECT_EQ(rep.phaseEntries[static_cast<unsigned>(prof::Phase::Decode)],
+              1u);
 }
 
 } // anonymous namespace

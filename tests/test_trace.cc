@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the trace substrate: record constructors, the trace
- * container and the binary on-disk format.
+ * container, the SoA pre-decode and the binary on-disk format.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <string>
 
+#include "trace/decoded.hh"
 #include "trace/trace.hh"
+#include "workloads/registry.hh"
 
 namespace cbws
 {
@@ -195,6 +197,105 @@ TEST(TraceFile, CorruptMagicRejected)
     EXPECT_FALSE(t.loadFrom(path));
     EXPECT_TRUE(t.empty());
     std::remove(path.c_str());
+}
+
+/** Trace index of the last record before @p i writing @p reg, found
+ *  by scanning backward; NoProd for InvalidReg or no writer. */
+std::uint32_t
+naiveProducer(const std::vector<TraceRecord> &recs, std::size_t i,
+              RegIndex reg)
+{
+    if (reg == InvalidReg)
+        return DecodedTrace::NoProd;
+    for (std::size_t j = i; j-- > 0;)
+        if (recs[j].dest == reg)
+            return static_cast<std::uint32_t>(j);
+    return DecodedTrace::NoProd;
+}
+
+/** Whether record @p i sits inside an annotated block: a BLOCK_END
+ *  always does; anything else does when the nearest marker at or
+ *  before it is a BLOCK_BEGIN. */
+bool
+naiveInBlock(const std::vector<TraceRecord> &recs, std::size_t i)
+{
+    if (recs[i].cls == InstClass::BlockEnd)
+        return true;
+    for (std::size_t j = i + 1; j-- > 0;) {
+        if (recs[j].cls == InstClass::BlockBegin)
+            return true;
+        if (recs[j].cls == InstClass::BlockEnd)
+            return false;
+    }
+    return false;
+}
+
+/** Compare every column of DecodedTrace::build against the naive
+ *  per-record derivation above. */
+::testing::AssertionResult
+decodeMatchesNaive(const std::vector<TraceRecord> &recs)
+{
+    const DecodedTrace d = DecodedTrace::build(recs);
+    if (d.size() != recs.size())
+        return ::testing::AssertionFailure() << "size " << d.size();
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        const TraceRecord &r = recs[i];
+        const std::uint8_t flags =
+            naiveInBlock(recs, i) ? DecodedTrace::InBlock : 0;
+        if (d.pcLine[i] != lineOf(r.pc) ||
+            d.effLine[i] != lineOf(r.effAddr) ||
+            d.src1Prod[i] != naiveProducer(recs, i, r.src1) ||
+            d.src2Prod[i] != naiveProducer(recs, i, r.src2) ||
+            d.flags[i] != flags) {
+            return ::testing::AssertionFailure()
+                   << "record " << i << " (cls "
+                   << static_cast<int>(r.cls) << ") decodes wrong";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(DecodedTrace, MatchesNaiveDerivationOnEdgeCases)
+{
+    std::vector<TraceRecord> recs = {
+        // A BLOCK_END with no BLOCK_BEGIN before it.
+        TraceRecord::alu(0x400, 1),
+        TraceRecord::blockEnd(0x404, 9),
+        // dest == src: reads its *older* producer (record 0).
+        TraceRecord::alu(0x408, 1, 1, InvalidReg),
+        TraceRecord::blockBegin(0x40c, 3),
+        TraceRecord::load(0x410, 0x10040, 2, 1),
+        TraceRecord::store(0x414, 0x10080, 2, 1),
+        // InvalidReg sources on both operands.
+        TraceRecord::alu(0x418, 3),
+        TraceRecord::branch(0x41c, true, 0x40c, 3),
+        TraceRecord::blockEnd(0x420, 3),
+        TraceRecord::alu(0x1000, 2, 2, 2),
+    };
+    ASSERT_TRUE(decodeMatchesNaive(recs));
+
+    const DecodedTrace d = DecodedTrace::build(recs);
+    EXPECT_EQ(d.src1Prod[2], 0u);
+    EXPECT_EQ(d.src1Prod[6], DecodedTrace::NoProd);
+    EXPECT_EQ(d.src2Prod[6], DecodedTrace::NoProd);
+    EXPECT_EQ(d.src1Prod[9], 4u);
+    EXPECT_EQ(d.src2Prod[9], 4u);
+    EXPECT_EQ(d.flags[1], DecodedTrace::InBlock);
+    EXPECT_EQ(d.flags[2], 0u);
+    EXPECT_EQ(d.flags[5], DecodedTrace::InBlock);
+    EXPECT_EQ(d.flags[9], 0u);
+}
+
+TEST(DecodedTrace, MatchesNaiveDerivationOnEveryWorkload)
+{
+    WorkloadParams params;
+    params.maxInstructions = 3000;
+    params.seed = 42;
+    for (const auto &w : allWorkloads()) {
+        Trace t;
+        w->generate(t, params);
+        EXPECT_TRUE(decodeMatchesNaive(t.records())) << w->name();
+    }
 }
 
 } // anonymous namespace

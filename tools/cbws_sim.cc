@@ -485,12 +485,19 @@ main(int argc, char **argv)
     }
 
     // Obtain the trace(s): load, or synthesise from workloads.
-    Trace trace;
-    std::string workload_name;
-    std::vector<std::string> core_names;    // multi-core only
-    std::vector<Trace> core_storage;        // one per distinct name
-    std::vector<const Trace *> core_traces; // one per core
-    if (num_cores > 1) {
+    std::vector<std::string> core_names;    // one per core
+    std::vector<Trace> traces;              // one per distinct name
+    std::vector<std::size_t> trace_of(num_cores, 0);
+    if (args.provided("load-trace")) {
+        traces.resize(1);
+        Result<void> loaded = traces[0].loadFrom(args.get("load-trace"));
+        if (!loaded.ok()) {
+            std::fprintf(stderr, "--load-trace: %s\n",
+                         loaded.error().str().c_str());
+            return 1;
+        }
+        core_names.push_back(args.get("load-trace"));
+    } else {
         std::vector<std::string> requested;
         std::string cur;
         for (char ch : args.get("core-workloads")) {
@@ -509,7 +516,6 @@ main(int argc, char **argv)
         // Round-robin the requested list over the cores, then
         // synthesise each distinct workload exactly once.
         std::vector<std::string> uniq;
-        std::vector<std::size_t> trace_of(num_cores);
         for (unsigned c = 0; c < num_cores; ++c) {
             const std::string &name =
                 requested[c % requested.size()];
@@ -521,7 +527,7 @@ main(int argc, char **argv)
                 uniq.push_back(name);
             trace_of[c] = u;
         }
-        core_storage.resize(uniq.size());
+        traces.resize(uniq.size());
         for (std::size_t u = 0; u < uniq.size(); ++u) {
             auto found = findWorkloadChecked(uniq[u]);
             if (!found.ok()) {
@@ -534,38 +540,17 @@ main(int argc, char **argv)
             params.maxInstructions = insts;
             params.seed = args.getUint("seed", 42);
             PROF_SCOPE(prof::Phase::TraceSynthesis);
-            workload->generate(core_storage[u], params);
+            workload->generate(traces[u], params);
         }
-        for (unsigned c = 0; c < num_cores; ++c)
-            core_traces.push_back(&core_storage[trace_of[c]]);
-        workload_name = core_names[0];
-        for (unsigned c = 1; c < num_cores; ++c)
-            workload_name += "+" + core_names[c];
-    } else if (args.provided("load-trace")) {
-        Result<void> loaded = trace.loadFrom(args.get("load-trace"));
-        if (!loaded.ok()) {
-            std::fprintf(stderr, "--load-trace: %s\n",
-                         loaded.error().str().c_str());
-            return 1;
-        }
-        workload_name = args.get("load-trace");
-    } else {
-        auto workload = findWorkload(args.get("workload"));
-        if (!workload) {
-            std::fprintf(stderr,
-                         "unknown benchmark '%s' (use --list)\n",
-                         args.get("workload").c_str());
-            return 1;
-        }
-        WorkloadParams params;
-        params.maxInstructions = insts;
-        params.seed = args.getUint("seed", 42);
-        {
-            PROF_SCOPE(prof::Phase::TraceSynthesis);
-            workload->generate(trace, params);
-        }
-        workload_name = workload->name();
     }
+    std::vector<const Trace *> core_traces; // one per core
+    for (unsigned c = 0; c < num_cores; ++c)
+        core_traces.push_back(&traces[trace_of[c]]);
+    std::string workload_name = core_names[0];
+    for (unsigned c = 1; c < num_cores; ++c)
+        workload_name += "+" + core_names[c];
+    // The single-core trace the trace/save flags operate on.
+    Trace &trace = traces[0];
 
     if (args.getFlag("auto-annotate")) {
         Trace raw;
@@ -701,14 +686,8 @@ main(int argc, char **argv)
         probes.trace = chrome.get();
         if (args.getFlag("metrics"))
             probes.schemeMetrics = &scheme_metrics;
-        SimResult r;
-        if (num_cores > 1) {
-            config.mem.numCores = num_cores;
-            r = simulateMulti(core_traces, core_names, config,
-                              insts, probes, warmup);
-        } else {
-            r = simulate(trace, config, insts, probes, warmup);
-        }
+        SimResult r = simulateMulti(core_traces, core_names, config,
+                                    insts, probes, warmup);
         r.workload = workload_name;
         if (stats_file.is_open())
             dumpStats(stats_file, r);
