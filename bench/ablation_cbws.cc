@@ -13,6 +13,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "base/table.hh"
 #include "common.hh"
@@ -24,13 +26,13 @@ namespace
 {
 
 SimResult
-runCbws(const std::string &workload, const CbwsParams &params,
-        std::uint64_t insts)
+runCbws(const std::string &workload,
+        const std::vector<std::string> &pf_opts, std::uint64_t insts)
 {
     auto w = findWorkload(workload);
     SystemConfig config;
     config.scheme = "CBWS";
-    config.cbws = params;
+    config.pfOpts = pf_opts;
     WorkloadParams wp;
     wp.maxInstructions = insts;
     return simulateWorkload(*w, config, wp, SimProbes(), insts / 4);
@@ -45,8 +47,8 @@ sweepTableSize(std::uint64_t insts)
     t.header({"entries", "fft IPC", "fft MPKI", "streamcl IPC",
               "sgemm IPC"});
     for (unsigned entries : {4u, 8u, 16u, 32u, 64u}) {
-        CbwsParams p;
-        p.tableEntries = entries;
+        const std::vector<std::string> p = {
+            "table-entries=" + std::to_string(entries)};
         auto fft = runCbws("fft-simlarge", p, insts);
         auto sc = runCbws("streamcluster-simlarge", p, insts);
         auto sg = runCbws("sgemm-medium", p, insts);
@@ -68,8 +70,8 @@ sweepVectorMembers(std::uint64_t insts)
     t.header({"members", "bzip2 IPC", "bzip2 MPKI", "lbm IPC",
               "stencil IPC"});
     for (unsigned members : {4u, 8u, 16u, 32u, 64u}) {
-        CbwsParams p;
-        p.maxVectorMembers = members;
+        const std::vector<std::string> p = {
+            "max-vector-members=" + std::to_string(members)};
         auto bz = runCbws("401.bzip2-source", p, insts);
         auto lbm = runCbws("lbm-long", p, insts);
         auto st = runCbws("stencil-default", p, insts);
@@ -90,8 +92,8 @@ sweepSteps(std::uint64_t insts)
     t.header({"steps", "sgemm IPC", "stencil IPC",
               "libquantum IPC"});
     for (unsigned steps : {1u, 2u, 4u, 8u}) {
-        CbwsParams p;
-        p.numSteps = steps;
+        const std::vector<std::string> p = {
+            "num-steps=" + std::to_string(steps)};
         auto sg = runCbws("sgemm-medium", p, insts);
         auto st = runCbws("stencil-default", p, insts);
         auto lq = runCbws("462.libquantum-ref", p, insts);
@@ -111,11 +113,8 @@ sweepTrainFilter(std::uint64_t insts)
     t.header({"benchmark", "all-accesses IPC", "misses-only IPC"});
     for (const char *name :
          {"stencil-default", "sgemm-medium", "radix-simlarge"}) {
-        CbwsParams all;
-        CbwsParams misses;
-        misses.trainOnHits = false;
-        auto a = runCbws(name, all, insts);
-        auto m = runCbws(name, misses, insts);
+        auto a = runCbws(name, {}, insts);
+        auto m = runCbws(name, {"train-on-hits=false"}, insts);
         t.row({name, TextTable::num(a.ipc(), 3),
                TextTable::num(m.ipc(), 3)});
     }
@@ -188,8 +187,8 @@ sweepHashWidth(std::uint64_t insts)
     t.header({"hash bits", "stencil IPC", "radix IPC",
               "milc IPC"});
     for (unsigned bits : {4u, 8u, 12u, 16u}) {
-        CbwsParams p;
-        p.hashBits = bits;
+        const std::vector<std::string> p = {
+            "hash-bits=" + std::to_string(bits)};
         auto st = runCbws("stencil-default", p, insts);
         auto rx = runCbws("radix-simlarge", p, insts);
         auto ml = runCbws("433.milc-su3imp", p, insts);

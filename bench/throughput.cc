@@ -16,7 +16,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "base/json.hh"
@@ -47,33 +46,6 @@ simulatedInstructions(const ExperimentMatrix &matrix)
         for (const auto &res : row.byPrefetcher)
             total += res.core.instructions;
     return total;
-}
-
-/** Bitwise comparison of two runs of the same matrix. */
-bool
-identicalResults(const ExperimentMatrix &a, const ExperimentMatrix &b)
-{
-    if (a.rows.size() != b.rows.size())
-        return false;
-    for (std::size_t r = 0; r < a.rows.size(); ++r) {
-        const auto &ra = a.rows[r].byPrefetcher;
-        const auto &rb = b.rows[r].byPrefetcher;
-        if (ra.size() != rb.size())
-            return false;
-        for (std::size_t k = 0; k < ra.size(); ++k) {
-            if (ra[k].workload != rb[k].workload ||
-                ra[k].prefetcher != rb[k].prefetcher ||
-                ra[k].prefetcherStorageBits !=
-                    rb[k].prefetcherStorageBits ||
-                std::memcmp(&ra[k].core, &rb[k].core,
-                            sizeof(ra[k].core)) != 0 ||
-                std::memcmp(&ra[k].mem, &rb[k].mem,
-                            sizeof(ra[k].mem)) != 0) {
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 } // anonymous namespace
@@ -153,7 +125,7 @@ main(int argc, char **argv)
         jobs2_ips = jobs2_s > 0
             ? static_cast<double>(sim_insts) / jobs2_s : 0;
         ran_jobs2 = true;
-        jobs2_identical = identicalResults(serial, jobs2);
+        jobs2_identical = serial.rows == jobs2.rows;
         std::printf("scaling   jobs=2    %8.2f s   %12.0f inst/s\n",
                     jobs2_s, jobs2_ips);
     }
@@ -176,7 +148,7 @@ main(int argc, char **argv)
     const double jobs2_speedup =
         ran_jobs2 && jobs2_s > 0 ? serial_s / jobs2_s : 0;
     const bool identical =
-        identicalResults(serial, parallel) && jobs2_identical;
+        serial.rows == parallel.rows && jobs2_identical;
     if (ran_jobs2)
         std::printf("\njobs=2 speedup: %.2fx", jobs2_speedup);
     std::printf("\nspeedup: %.2fx   results identical: %s\n", speedup,

@@ -60,6 +60,8 @@ struct CbwsParams
     unsigned strideBits = 16;
     /** Random-eviction seed for the differential table. */
     std::uint64_t tableSeed = 0xCB;
+
+    bool operator==(const CbwsParams &) const = default;
 };
 
 /** `--pf-opt` keys for CbwsParams (also mounted by composites). */

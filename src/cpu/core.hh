@@ -101,6 +101,8 @@ struct CoreStats
                         static_cast<double>(cycles)
                       : 0.0;
     }
+
+    bool operator==(const CoreStats &) const = default;
 };
 
 /**

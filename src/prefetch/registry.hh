@@ -12,9 +12,10 @@
  * Lookup is case-insensitive, so CLI surfaces accept "cbws+sms" for
  * "CBWS+SMS". Factories receive a ParamSet — a type-erased bag of
  * the per-scheme parameter structs — and fall back to each struct's
- * Table II defaults when a slot is absent. The PrefetcherKind enum
- * in sim/config.hh survives only as a thin compat shim that maps to
- * registry names.
+ * Table II defaults when a slot is absent. Simulations select a
+ * scheme only by name plus `key=value` options (SystemConfig::scheme
+ * and ::pfOpts); makePrefetcher applies the options through the
+ * scheme's ParamSchema onto an empty ParamSet.
  *
  * Static-archive caveat: a registration living in an otherwise
  * unreferenced object file is dropped by the linker. Each
@@ -357,6 +358,20 @@ class PrefetcherRegistry
         return Result<void>();
     }
 
+    /** The case-folded lookup key of a scheme name ("CBWS+SMS" ->
+     *  "cbws+sms"); names are equal when their keys are. */
+    static std::string
+    canon(const std::string &name)
+    {
+        std::string out;
+        out.reserve(name.size());
+        for (char c : name)
+            out.push_back(c >= 'A' && c <= 'Z'
+                              ? static_cast<char>(c - 'A' + 'a')
+                              : c);
+        return out;
+    }
+
   private:
     struct Entry
     {
@@ -380,18 +395,6 @@ class PrefetcherRegistry
         key = opt.substr(0, eq);
         value = opt.substr(eq + 1);
         return Result<void>();
-    }
-
-    static std::string
-    canon(const std::string &name)
-    {
-        std::string out;
-        out.reserve(name.size());
-        for (char c : name)
-            out.push_back(c >= 'A' && c <= 'Z'
-                              ? static_cast<char>(c - 'A' + 'a')
-                              : c);
-        return out;
     }
 
     /** CBWS_STRICT_REGISTRY: "0"/unset = warn, else hard error. */

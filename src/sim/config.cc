@@ -23,66 +23,18 @@ CBWS_FORCE_LINK_PREFETCHER(multistride)
 CBWS_FORCE_LINK_PREFETCHER(pangloss)
 CBWS_FORCE_LINK_PREFETCHER(pythia)
 
-const char *
-toString(PrefetcherKind kind)
-{
-    switch (kind) {
-      case PrefetcherKind::None:
-        return "No-Prefetch";
-      case PrefetcherKind::Stride:
-        return "Stride";
-      case PrefetcherKind::GhbPcDc:
-        return "GHB-PC/DC";
-      case PrefetcherKind::GhbGDc:
-        return "GHB-G/DC";
-      case PrefetcherKind::Sms:
-        return "SMS";
-      case PrefetcherKind::Cbws:
-        return "CBWS";
-      case PrefetcherKind::CbwsSms:
-        return "CBWS+SMS";
-      case PrefetcherKind::Ampm:
-        return "AMPM";
-      case PrefetcherKind::CbwsAmpm:
-        return "CBWS+AMPM";
-    }
-    return "?";
-}
-
-std::vector<PrefetcherKind>
-allPrefetcherKinds()
-{
-    return {PrefetcherKind::None,   PrefetcherKind::Stride,
-            PrefetcherKind::GhbPcDc, PrefetcherKind::GhbGDc,
-            PrefetcherKind::Sms,    PrefetcherKind::Cbws,
-            PrefetcherKind::CbwsSms};
-}
-
-std::vector<PrefetcherKind>
-extendedPrefetcherKinds()
-{
-    auto kinds = allPrefetcherKinds();
-    kinds.push_back(PrefetcherKind::Ampm);
-    kinds.push_back(PrefetcherKind::CbwsAmpm);
-    return kinds;
-}
-
 std::vector<std::string>
 allSchemeNames()
 {
-    std::vector<std::string> names;
-    for (PrefetcherKind kind : allPrefetcherKinds())
-        names.push_back(toString(kind));
-    return names;
+    return {"No-Prefetch", "Stride", "GHB-PC/DC", "GHB-G/DC",
+            "SMS", "CBWS", "CBWS+SMS"};
 }
 
 std::vector<std::string>
 extendedSchemeNames()
 {
-    std::vector<std::string> names;
-    for (PrefetcherKind kind : extendedPrefetcherKinds())
-        names.push_back(toString(kind));
-    return names;
+    return {"No-Prefetch", "Stride", "GHB-PC/DC", "GHB-G/DC", "SMS",
+            "CBWS", "CBWS+SMS", "AMPM", "CBWS+AMPM"};
 }
 
 std::vector<std::string>
@@ -91,45 +43,19 @@ zooSchemeNames()
     return prefetcherRegistry().names();
 }
 
-std::string
-schemeName(const SystemConfig &config)
-{
-    return config.scheme.empty() ? toString(config.prefetcher)
-                                 : config.scheme;
-}
-
-ParamSet
-paramSetFrom(const SystemConfig &config)
-{
-    ParamSet params;
-    params.set(config.stride);
-    params.set(config.ghb);
-    params.set(config.sms);
-    params.set(config.cbws);
-    params.set(config.ampm);
-    params.set(config.multistride);
-    params.set(config.pangloss);
-    params.set(config.pythia);
-    return params;
-}
-
 std::unique_ptr<Prefetcher>
 makePrefetcher(const SystemConfig &config)
 {
-    const std::string name = schemeName(config);
-    ParamSet params = paramSetFrom(config);
-    if (!config.pfOpts.empty()) {
-        // Keys this scheme does not accept are skipped: multi-scheme
-        // drivers validated every key against the whole selection up
-        // front, and a single option may target only some columns
-        // ("degree=4" tunes Stride and GHB but not No-Prefetch).
-        Result<void> applied = prefetcherRegistry().applyOptions(
-            name, params, config.pfOpts, /*ignore_unknown=*/true);
-        if (!applied.ok())
-            panic("makePrefetcher: %s",
-                  applied.error().str().c_str());
-    }
-    auto result = prefetcherRegistry().create(name, params);
+    // Keys this scheme does not accept are skipped: multi-scheme
+    // drivers validated every key against the whole selection up
+    // front, and a single option may target only some columns
+    // ("degree=4" tunes Stride and GHB but not No-Prefetch).
+    ParamSet params;
+    Result<void> applied = prefetcherRegistry().applyOptions(
+        config.scheme, params, config.pfOpts, /*ignore_unknown=*/true);
+    if (!applied.ok())
+        panic("makePrefetcher: %s", applied.error().str().c_str());
+    auto result = prefetcherRegistry().create(config.scheme, params);
     if (!result.ok())
         panic("makePrefetcher: %s", result.error().str().c_str());
     return std::move(result).value();

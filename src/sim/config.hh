@@ -10,56 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "core/cbws_prefetcher.hh"
 #include "cpu/core.hh"
 #include "mem/params.hh"
-#include "prefetch/ampm.hh"
-#include "prefetch/ghb.hh"
-#include "prefetch/multistride.hh"
-#include "prefetch/pangloss.hh"
-#include "prefetch/pythia.hh"
 #include "prefetch/registry.hh"
-#include "prefetch/sms.hh"
-#include "prefetch/stride.hh"
 
 namespace cbws
 {
-
-/**
- * The prefetching schemes evaluated by the paper.
- *
- * @deprecated Compat shim over the string-keyed PrefetcherRegistry
- * (PR 3): the enum cannot name registry-only schemes (Pangloss,
- * Pythia, Multistride, ...). New call sites should select schemes by
- * registry name — SystemConfig::scheme, runMatrix with a vector of
- * names — and use allSchemeNames()/extendedSchemeNames() instead of
- * the enum lists. The enum survives only for existing users of
- * SystemConfig::prefetcher and is not extended for new schemes.
- */
-enum class PrefetcherKind
-{
-    None,
-    Stride,
-    GhbPcDc,
-    GhbGDc,
-    Sms,
-    Cbws,
-    CbwsSms,
-    // Extensions beyond the paper's evaluated set:
-    Ampm,     ///< related-work baseline (Ishii et al.)
-    CbwsAmpm, ///< CBWS as a generic add-on bolted onto AMPM
-};
-
-/** Name as used in the paper's figures. */
-const char *toString(PrefetcherKind kind);
-
-/** All seven evaluated configurations, in Fig. 12 legend order.
- *  @deprecated Use allSchemeNames(). */
-std::vector<PrefetcherKind> allPrefetcherKinds();
-
-/** The paper's seven plus the extension schemes (AMPM, CBWS+AMPM).
- *  @deprecated Use extendedSchemeNames(). */
-std::vector<PrefetcherKind> extendedPrefetcherKinds();
 
 /** Registry names of the paper's seven evaluated configurations, in
  *  Fig. 12 legend order. */
@@ -87,49 +43,24 @@ struct SystemConfig
     CoreParams core;
     HierarchyParams mem;
 
-    /**
-     * Prefetching scheme as a registry name ("CBWS+SMS", "pangloss",
-     * case-insensitive). When non-empty this wins over the deprecated
-     * `prefetcher` enum below, and is the only way to select schemes
-     * the enum does not know about.
-     */
-    std::string scheme;
+    /** Prefetching scheme as a registry name ("CBWS+SMS",
+     *  "pangloss", case-insensitive). */
+    std::string scheme = "No-Prefetch";
 
     /**
      * `key=value` parameter overrides applied through the scheme's
-     * ParamSchema on top of the struct defaults below (the `--pf-opt`
+     * ParamSchema on top of its Table II defaults (the `--pf-opt`
      * surface). Keys the selected scheme does not accept are skipped
      * by makePrefetcher — multi-scheme drivers validate the full
      * selection up front via PrefetcherRegistry::validateOptions().
      */
     std::vector<std::string> pfOpts;
-
-    /** @deprecated Enum-based selection; prefer `scheme`. */
-    PrefetcherKind prefetcher = PrefetcherKind::None;
-
-    StrideParams stride;
-    GhbParams ghb;
-    SmsParams sms;
-    CbwsParams cbws;
-    AmpmParams ampm;
-    MultistrideParams multistride;
-    PanglossParams pangloss;
-    PythiaParams pythia;
 };
 
-/** The scheme name a config selects (`scheme`, or the enum's name). */
-std::string schemeName(const SystemConfig &config);
-
-/** Bundle the config's per-scheme parameter structs for the registry. */
-ParamSet paramSetFrom(const SystemConfig &config);
-
 /**
- * Instantiate the configured prefetcher.
- *
- * Compat shim over the string-keyed PrefetcherRegistry: resolves the
- * enum to its canonical scheme name and delegates to
- * prefetcherRegistry().create(). Prefer the registry directly for new
- * call sites.
+ * Instantiate the configured prefetcher: `config.scheme` from the
+ * PrefetcherRegistry with `config.pfOpts` applied through its
+ * ParamSchema. Panics on an unknown scheme or a malformed option.
  */
 std::unique_ptr<Prefetcher> makePrefetcher(const SystemConfig &config);
 

@@ -95,35 +95,12 @@ clearMatrixInterrupt()
     g_matrix_interrupt.store(false, std::memory_order_relaxed);
 }
 
-namespace
-{
-
-/** Case-insensitive scheme-name comparison (registry canon rule). */
-bool
-sameScheme(const std::string &a, const std::string &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const char ca = a[i] >= 'A' && a[i] <= 'Z'
-                            ? static_cast<char>(a[i] - 'A' + 'a')
-                            : a[i];
-        const char cb = b[i] >= 'A' && b[i] <= 'Z'
-                            ? static_cast<char>(b[i] - 'A' + 'a')
-                            : b[i];
-        if (ca != cb)
-            return false;
-    }
-    return true;
-}
-
-} // anonymous namespace
-
 std::size_t
 ExperimentMatrix::column(const std::string &scheme) const
 {
+    const std::string key = PrefetcherRegistry::canon(scheme);
     for (std::size_t k = 0; k < schemes.size(); ++k)
-        if (sameScheme(schemes[k], scheme))
+        if (PrefetcherRegistry::canon(schemes[k]) == key)
             return k;
     panic("scheme '%s' not in matrix", scheme.c_str());
 }
@@ -133,26 +110,6 @@ ExperimentMatrix::result(std::size_t row,
                          const std::string &scheme) const
 {
     return rows.at(row).byPrefetcher.at(column(scheme));
-}
-
-const SimResult &
-ExperimentMatrix::result(std::size_t row, PrefetcherKind kind) const
-{
-    return result(row, std::string(toString(kind)));
-}
-
-ExperimentMatrix
-runMatrix(const std::vector<WorkloadPtr> &workloads,
-          const std::vector<PrefetcherKind> &kinds,
-          const SystemConfig &base_config, std::uint64_t max_insts,
-          std::uint64_t seed, const MatrixOptions &options)
-{
-    std::vector<std::string> schemes;
-    schemes.reserve(kinds.size());
-    for (PrefetcherKind kind : kinds)
-        schemes.emplace_back(toString(kind));
-    return runMatrix(workloads, schemes, base_config, max_insts,
-                     seed, options);
 }
 
 ExperimentMatrix

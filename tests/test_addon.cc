@@ -117,12 +117,13 @@ TEST(CbwsAddOn, UnmutedAfterBlockEnds)
 TEST(CbwsAddOn, EndToEndThroughConfig)
 {
     SystemConfig config;
-    config.prefetcher = PrefetcherKind::CbwsAmpm;
+    config.scheme = "CBWS+AMPM";
     auto pf = makePrefetcher(config);
     EXPECT_EQ(pf->name(), "CBWS+AMPM");
-    EXPECT_EQ(toString(PrefetcherKind::Ampm), std::string("AMPM"));
-    EXPECT_EQ(extendedPrefetcherKinds().size(),
-              allPrefetcherKinds().size() + 2);
+    const std::vector<std::string> extended = extendedSchemeNames();
+    EXPECT_EQ(extended.size(), allSchemeNames().size() + 2);
+    EXPECT_EQ(extended[extended.size() - 2], "AMPM");
+    EXPECT_EQ(extended.back(), "CBWS+AMPM");
 }
 
 } // anonymous namespace

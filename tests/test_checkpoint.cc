@@ -12,14 +12,15 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "base/faultinject.hh"
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
+#include "test_util.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -118,33 +119,6 @@ makeResult(std::uint64_t salt = 0)
     return r;
 }
 
-::testing::AssertionResult
-cellsIdentical(const SimResult &a, const SimResult &b)
-{
-    if (a.workload != b.workload)
-        return ::testing::AssertionFailure()
-               << "workload: " << a.workload << " vs " << b.workload;
-    if (a.prefetcher != b.prefetcher)
-        return ::testing::AssertionFailure()
-               << "prefetcher: " << a.prefetcher << " vs "
-               << b.prefetcher;
-    if (a.prefetcherStorageBits != b.prefetcherStorageBits)
-        return ::testing::AssertionFailure() << "storage bits differ";
-    if (std::memcmp(&a.core, &b.core, sizeof(a.core)) != 0)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": CoreStats differ";
-    if (a.mem != b.mem)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": HierarchyStats differ";
-    if (a.dramBackend != b.dramBackend)
-        return ::testing::AssertionFailure()
-               << "dram backend: " << a.dramBackend << " vs "
-               << b.dramBackend;
-    return ::testing::AssertionSuccess();
-}
-
 TEST(CheckpointCell, LineRoundTripsBitExactly)
 {
     const SimResult original = makeResult();
@@ -152,11 +126,74 @@ TEST(CheckpointCell, LineRoundTripsBitExactly)
 
     Result<SimResult> parsed = parseCheckpointCell(line);
     ASSERT_TRUE(parsed.ok()) << parsed.error().str();
-    EXPECT_TRUE(cellsIdentical(original, parsed.value()));
+    EXPECT_TRUE(test::cellsIdentical(original, parsed.value()));
 
     // The strongest form: re-serialising the parsed cell reproduces
     // the identical line, checksum and all.
     EXPECT_EQ(checkpointCellLine(parsed.value()), line);
+}
+
+/** A real 4-core rate-mode cell at a small budget. */
+SimResult
+fourCoreCell()
+{
+    auto w = findWorkload("stencil-default");
+    EXPECT_NE(w, nullptr);
+    WorkloadParams params;
+    params.maxInstructions = 4000;
+    Trace trace;
+    w->generate(trace, params);
+    SystemConfig config;
+    config.mem.numCores = 4;
+    return runMatrixCell(trace, "stencil-default", config, "CBWS+SMS",
+                         params.maxInstructions);
+}
+
+TEST(SimResultEquality, DetectsOneCounterInEveryGroup)
+{
+    const SimResult cell = fourCoreCell();
+    ASSERT_EQ(cell.perCore.size(), 4u);
+    EXPECT_TRUE(cell == cell);
+
+    struct Mutation
+    {
+        const char *what;
+        const char *group; ///< what cellsIdentical must report
+        std::function<void(SimResult &)> apply;
+    };
+    const std::vector<Mutation> mutations = {
+        {"perCore[2].core", "perCore",
+         [](SimResult &r) { ++r.perCore[2].core.robFullStalls; }},
+        {"perCore[3].mem", "perCore",
+         [](SimResult &r) { ++r.perCore[3].mem.l1dMisses; }},
+        {"dramBackend", "identity",
+         [](SimResult &r) { r.dramBackend = "ddr"; }},
+        {"cores", "identity", [](SimResult &r) { ++r.cores; }},
+        {"prefetcherStorageBits", "identity",
+         [](SimResult &r) { ++r.prefetcherStorageBits; }},
+    };
+    for (const auto &m : mutations) {
+        SimResult changed = cell;
+        m.apply(changed);
+        EXPECT_FALSE(changed == cell) << m.what;
+        const ::testing::AssertionResult same =
+            test::cellsIdentical(cell, changed);
+        EXPECT_FALSE(same) << m.what;
+        EXPECT_NE(std::string(same.message()).find(m.group),
+                  std::string::npos)
+            << m.what << ": " << same.message();
+    }
+}
+
+TEST(SimResultEquality, HoldsAcrossAFourCoreCheckpointRoundTrip)
+{
+    const SimResult cell = fourCoreCell();
+    ASSERT_EQ(cell.cores, 4u);
+    Result<SimResult> parsed =
+        parseCheckpointCell(checkpointCellLine(cell));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+    EXPECT_TRUE(parsed.value() == cell);
+    EXPECT_TRUE(test::cellsIdentical(cell, parsed.value()));
 }
 
 TEST(CheckpointCell, TamperedLineFailsItsChecksum)
@@ -299,8 +336,8 @@ TEST_F(CheckpointFileTest, FreshFileThenReopenRestoresCells)
     const SimResult *rb = resumed.find("unit-workload", "CBWS");
     ASSERT_NE(ra, nullptr);
     ASSERT_NE(rb, nullptr);
-    EXPECT_TRUE(cellsIdentical(a, *ra));
-    EXPECT_TRUE(cellsIdentical(b, *rb));
+    EXPECT_TRUE(test::cellsIdentical(a, *ra));
+    EXPECT_TRUE(test::cellsIdentical(b, *rb));
     EXPECT_EQ(resumed.find("unit-workload", "Stride"), nullptr);
 }
 
@@ -410,8 +447,7 @@ class CheckpointResumeTest : public CheckpointFileTest
             ASSERT_NE(w, nullptr) << name;
             workloads_.push_back(std::move(w));
         }
-        kinds_ = {PrefetcherKind::None, PrefetcherKind::Stride,
-                  PrefetcherKind::Cbws};
+        schemes_ = {"No-Prefetch", "Stride", "CBWS"};
     }
 
     ExperimentMatrix
@@ -421,34 +457,12 @@ class CheckpointResumeTest : public CheckpointFileTest
         options.jobs = jobs;
         options.checkpointPath = checkpoint;
         SystemConfig config;
-        return runMatrix(workloads_, kinds_, config, insts_, 42,
+        return runMatrix(workloads_, schemes_, config, insts_, 42,
                          options);
     }
 
-    static ::testing::AssertionResult
-    matricesIdentical(const ExperimentMatrix &a,
-                      const ExperimentMatrix &b)
-    {
-        if (a.rows.size() != b.rows.size())
-            return ::testing::AssertionFailure() << "row count";
-        for (std::size_t r = 0; r < a.rows.size(); ++r) {
-            if (a.rows[r].byPrefetcher.size() !=
-                b.rows[r].byPrefetcher.size())
-                return ::testing::AssertionFailure() << "cell count";
-            for (std::size_t k = 0; k < a.rows[r].byPrefetcher.size();
-                 ++k) {
-                auto cell =
-                    cellsIdentical(a.rows[r].byPrefetcher[k],
-                                   b.rows[r].byPrefetcher[k]);
-                if (!cell)
-                    return cell;
-            }
-        }
-        return ::testing::AssertionSuccess();
-    }
-
     std::vector<WorkloadPtr> workloads_;
-    std::vector<PrefetcherKind> kinds_;
+    std::vector<std::string> schemes_;
     static constexpr std::uint64_t insts_ = 8000;
 };
 
@@ -462,7 +476,7 @@ TEST_F(CheckpointResumeTest, PartialCheckpointResumesBitIdentically)
     // matrix (the driver-level smoke test kills a real process; the
     // unit test recreates the identical on-disk state).
     const ExperimentMatrix full = run(1, path_);
-    EXPECT_TRUE(matricesIdentical(reference, full))
+    EXPECT_TRUE(test::matricesIdentical(reference, full))
         << "checkpointing must not perturb results";
     auto lines = readLines();
     ASSERT_EQ(lines.size(), 2u + 6u);
@@ -471,7 +485,7 @@ TEST_F(CheckpointResumeTest, PartialCheckpointResumesBitIdentically)
     for (unsigned jobs : {1u, 8u}) {
         writeLines(lines);
         const ExperimentMatrix resumed = run(jobs, path_);
-        EXPECT_TRUE(matricesIdentical(reference, resumed))
+        EXPECT_TRUE(test::matricesIdentical(reference, resumed))
             << "jobs=" << jobs;
         EXPECT_EQ(readLines().size(), 2u + 6u)
             << "resume must complete the file (jobs=" << jobs << ")";
@@ -486,7 +500,7 @@ TEST_F(CheckpointResumeTest, CompletedCheckpointSkipsAllSimulation)
     // Resuming a finished matrix restores every cell and appends
     // nothing new.
     const ExperimentMatrix again = run(4, path_);
-    EXPECT_TRUE(matricesIdentical(first, again));
+    EXPECT_TRUE(test::matricesIdentical(first, again));
     EXPECT_EQ(readLines(), lines) << "no rewrites on a no-op resume";
 }
 
@@ -500,7 +514,7 @@ TEST_F(CheckpointResumeTest, PoolFaultFallsBackToSerialAndMatches)
     FaultInjector::instance().armAt(FaultSite::PoolJob, {2});
     const ExperimentMatrix faulted = run(4);
     FaultInjector::instance().reset();
-    EXPECT_TRUE(matricesIdentical(reference, faulted));
+    EXPECT_TRUE(test::matricesIdentical(reference, faulted));
 }
 
 } // anonymous namespace

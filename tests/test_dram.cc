@@ -366,7 +366,7 @@ class DdrMatrixTest : public ::testing::Test
             ASSERT_NE(w, nullptr) << name;
             workloads_.push_back(std::move(w));
         }
-        kinds_ = {PrefetcherKind::Cbws, PrefetcherKind::Sms};
+        schemes_ = {"CBWS", "SMS"};
         char tmpl[] = "/tmp/cbws-dram-XXXXXX";
         ASSERT_NE(::mkdtemp(tmpl), nullptr);
         dir_ = tmpl;
@@ -388,7 +388,7 @@ class DdrMatrixTest : public ::testing::Test
         options.checkpointPath = checkpoint;
         SystemConfig config;
         config.mem.dramBackend = "ddr";
-        return runMatrix(workloads_, kinds_, config, 8000, 42,
+        return runMatrix(workloads_, schemes_, config, 8000, 42,
                          options);
     }
 
@@ -423,7 +423,7 @@ class DdrMatrixTest : public ::testing::Test
     }
 
     std::vector<WorkloadPtr> workloads_;
-    std::vector<PrefetcherKind> kinds_;
+    std::vector<std::string> schemes_;
     std::string dir_;
 };
 

@@ -7,9 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "sim/experiment.hh"
+#include "test_util.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -34,35 +33,11 @@ sampleWorkloads()
     return ws;
 }
 
-/** Bitwise equality of two cells (POD stats + identity strings). */
-::testing::AssertionResult
-cellsIdentical(const SimResult &a, const SimResult &b)
-{
-    if (a.workload != b.workload)
-        return ::testing::AssertionFailure()
-               << "workload: " << a.workload << " vs " << b.workload;
-    if (a.prefetcher != b.prefetcher)
-        return ::testing::AssertionFailure()
-               << "prefetcher: " << a.prefetcher << " vs "
-               << b.prefetcher;
-    if (a.prefetcherStorageBits != b.prefetcherStorageBits)
-        return ::testing::AssertionFailure() << "storage bits differ";
-    if (std::memcmp(&a.core, &b.core, sizeof(a.core)) != 0)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": CoreStats differ";
-    if (a.mem != b.mem)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": HierarchyStats differ";
-    return ::testing::AssertionSuccess();
-}
-
 TEST(ParallelMatrix, FourJobsBitIdenticalToSerialAcrossAllKinds)
 {
     const auto ws = sampleWorkloads();
     ASSERT_EQ(ws.size(), 3u);
-    const auto kinds = allPrefetcherKinds();
+    const auto kinds = allSchemeNames();
     SystemConfig cfg;
     constexpr std::uint64_t insts = 12000;
 
@@ -82,8 +57,8 @@ TEST(ParallelMatrix, FourJobsBitIdenticalToSerialAcrossAllKinds)
         EXPECT_EQ(m1.rows[r].memoryIntensive,
                   m4.rows[r].memoryIntensive);
         for (std::size_t k = 0; k < kinds.size(); ++k)
-            EXPECT_TRUE(cellsIdentical(m1.rows[r].byPrefetcher[k],
-                                       m4.rows[r].byPrefetcher[k]));
+            EXPECT_TRUE(test::cellsIdentical(
+                m1.rows[r].byPrefetcher[k], m4.rows[r].byPrefetcher[k]));
     }
 }
 
@@ -92,8 +67,7 @@ TEST(ParallelMatrix, MoreJobsThanCellsIsStillIdentical)
     std::vector<WorkloadPtr> ws;
     ws.push_back(findWorkload("stencil-default"));
     ASSERT_NE(ws[0], nullptr);
-    const std::vector<PrefetcherKind> kinds = {PrefetcherKind::Cbws,
-                                               PrefetcherKind::Sms};
+    const std::vector<std::string> kinds = {"CBWS", "SMS"};
     SystemConfig cfg;
 
     MatrixOptions serial;
@@ -105,8 +79,8 @@ TEST(ParallelMatrix, MoreJobsThanCellsIsStillIdentical)
     const auto mw = runMatrix(ws, kinds, cfg, 8000, 42, wide);
 
     for (std::size_t k = 0; k < kinds.size(); ++k)
-        EXPECT_TRUE(cellsIdentical(m1.rows[0].byPrefetcher[k],
-                                   mw.rows[0].byPrefetcher[k]));
+        EXPECT_TRUE(test::cellsIdentical(m1.rows[0].byPrefetcher[k],
+                                         mw.rows[0].byPrefetcher[k]));
 }
 
 TEST(ParallelMatrix, ResultLookupAgreesWithRowLayout)
@@ -122,9 +96,8 @@ TEST(ParallelMatrix, ResultLookupAgreesWithRowLayout)
     for (std::size_t k = 0; k < schemes.size(); ++k)
         EXPECT_EQ(&m.result(0, schemes[k]),
                   &m.rows[0].byPrefetcher[k]);
-    // The deprecated enum overload resolves to the same columns.
-    EXPECT_EQ(&m.result(0, PrefetcherKind::Sms),
-              &m.result(0, std::string("SMS")));
+    // A bare string literal resolves to the same column.
+    EXPECT_EQ(&m.result(0, "SMS"), &m.result(0, std::string("SMS")));
 }
 
 TEST(ParallelMatrix, ResultLookupIsCaseInsensitive)

@@ -38,7 +38,7 @@ SystemConfig
 contendedConfig(unsigned cores)
 {
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::CbwsSms;
+    cfg.scheme = "CBWS+SMS";
     cfg.mem.numCores = cores;
     cfg.mem.l2.sizeBytes = 64 * 1024;
     return cfg;
@@ -98,8 +98,7 @@ TEST(Multicore, MatrixDeterministicAcrossJobCounts)
     std::vector<WorkloadPtr> ws;
     for (const char *name : {"stencil-default", "nw"})
         ws.push_back(findWorkload(name));
-    const std::vector<PrefetcherKind> kinds = {
-        PrefetcherKind::None, PrefetcherKind::CbwsSms};
+    const std::vector<std::string> kinds = {"No-Prefetch", "CBWS+SMS"};
     SystemConfig cfg = contendedConfig(2);
 
     MatrixOptions serial;
@@ -117,7 +116,7 @@ TEST(Multicore, MatrixDeterministicAcrossJobCounts)
             const SimResult &a = m1.rows[r].byPrefetcher[k];
             const SimResult &b = m4.rows[r].byPrefetcher[k];
             EXPECT_EQ(toJson(a), toJson(b))
-                << m1.rows[r].workload << " / " << toString(kinds[k]);
+                << m1.rows[r].workload << " / " << kinds[k];
             EXPECT_EQ(a.cores, 2u);
         }
     }

@@ -21,17 +21,52 @@ namespace
 using test::MockSink;
 using test::memCtx;
 
+/**
+ * A scheme, passed to the suites below as its column in
+ * extendedSchemeNames() (figure-legend order). gtest prints a struct
+ * without a printer as its raw bytes ("4-byte object <05-00 00-00>"),
+ * and ctest test IDs carry that print, so the IDs are the column
+ * rather than a quoted name.
+ */
+struct SchemeColumn
+{
+    std::uint32_t index;
+
+    std::string name() const { return extendedSchemeNames().at(index); }
+};
+
+/** The first @p count columns of extendedSchemeNames(). */
+std::vector<SchemeColumn>
+schemeColumns(std::size_t count)
+{
+    std::vector<SchemeColumn> columns;
+    for (std::uint32_t k = 0; k < count; ++k)
+        columns.push_back({k});
+    return columns;
+}
+
+/** Test-name suffix: the scheme name with punctuation as '_'. */
+std::string
+schemeTestName(const testing::TestParamInfo<SchemeColumn> &param_info)
+{
+    std::string s = param_info.param.name();
+    for (char &c : s)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
+}
+
 // ---- Property: every prefetcher behaves sanely on random traces ----
 
 class PrefetcherPropertyTest
-    : public testing::TestWithParam<PrefetcherKind>
+    : public testing::TestWithParam<SchemeColumn>
 {
 };
 
 TEST_P(PrefetcherPropertyTest, SurvivesRandomAccessStream)
 {
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     auto pf = makePrefetcher(cfg);
     MockSink sink;
     Random rng(99);
@@ -54,7 +89,7 @@ TEST_P(PrefetcherPropertyTest, NeverIssuesCachedLines)
     // Prefetchers consult isCached() before issuing: a sink claiming
     // everything is cached must see zero issues.
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     auto pf = makePrefetcher(cfg);
 
     class AllCachedSink : public PrefetchSink
@@ -87,7 +122,7 @@ TEST_P(PrefetcherPropertyTest, EndToEndInvariants)
     w->generate(t, params);
 
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     SimResult r = simulate(t, cfg, params.maxInstructions);
 
     const auto &m = r.mem;
@@ -138,7 +173,7 @@ TEST_P(PrefetcherPropertyTest, LifecycleConservationLaws)
         for (CoreModel model :
              {CoreModel::OutOfOrder, CoreModel::InOrder}) {
             SystemConfig cfg;
-            cfg.prefetcher = GetParam();
+            cfg.scheme = GetParam().name();
             cfg.coreModel = model;
             SimResult r = simulate(t, cfg, params.maxInstructions,
                                    SimProbes(), /*warmup_insts=*/0);
@@ -170,16 +205,10 @@ TEST_P(PrefetcherPropertyTest, LifecycleConservationLaws)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, PrefetcherPropertyTest,
-    testing::ValuesIn(allPrefetcherKinds()),
-    [](const testing::TestParamInfo<PrefetcherKind> &param_info) {
-        std::string s = toString(param_info.param);
-        for (char &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
-    });
+INSTANTIATE_TEST_SUITE_P(AllKinds, PrefetcherPropertyTest,
+                         testing::ValuesIn(schemeColumns(
+                             allSchemeNames().size())),
+                         schemeTestName);
 
 // ---- Property: CBWS predicts constant strides for any geometry ----
 
@@ -307,13 +336,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyRandomTest,
 // simulator, every scheme (including the extensions) ----
 
 class SimulatorFuzzTest
-    : public testing::TestWithParam<PrefetcherKind>
+    : public testing::TestWithParam<SchemeColumn>
 {
 };
 
 TEST_P(SimulatorFuzzTest, RandomTraceRunsToCompletion)
 {
-    Random rng(1234 + static_cast<unsigned>(GetParam()));
+    Random rng(1234 + GetParam().index);
     Trace t;
     Addr pc = 0x400000;
     bool in_block = false;
@@ -351,7 +380,7 @@ TEST_P(SimulatorFuzzTest, RandomTraceRunsToCompletion)
     }
 
     SystemConfig cfg;
-    cfg.prefetcher = GetParam();
+    cfg.scheme = GetParam().name();
     SimResult r = simulate(t, cfg, 5000);
     EXPECT_EQ(r.core.instructions, 5000u);
     EXPECT_GT(r.core.cycles, 0u);
@@ -362,16 +391,10 @@ TEST_P(SimulatorFuzzTest, RandomTraceRunsToCompletion)
     EXPECT_EQ(io.core.instructions, 5000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ExtendedKinds, SimulatorFuzzTest,
-    testing::ValuesIn(extendedPrefetcherKinds()),
-    [](const testing::TestParamInfo<PrefetcherKind> &param_info) {
-        std::string s = toString(param_info.param);
-        for (char &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
-    });
+INSTANTIATE_TEST_SUITE_P(ExtendedKinds, SimulatorFuzzTest,
+                         testing::ValuesIn(schemeColumns(
+                             extendedSchemeNames().size())),
+                         schemeTestName);
 
 // ---- Property: identical traces, identical results per scheme ----
 
@@ -379,8 +402,7 @@ TEST(Determinism, WholeMatrixIsReproducible)
 {
     std::vector<WorkloadPtr> ws;
     ws.push_back(findWorkload("fft-simlarge"));
-    const std::vector<PrefetcherKind> kinds = {PrefetcherKind::Cbws,
-                                               PrefetcherKind::Sms};
+    const std::vector<std::string> kinds = {"CBWS", "SMS"};
     SystemConfig cfg;
     auto m1 = runMatrix(ws, kinds, cfg, 8000);
     ws.clear();

@@ -16,12 +16,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "base/tuning.hh"
 #include "mem/hierarchy.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
+#include "test_util.hh"
 #include "workloads/registry.hh"
 
 namespace cbws
@@ -37,61 +36,6 @@ struct ToggleGuard
     Tuning saved = Tuning::get();
     ~ToggleGuard() { Tuning::get() = saved; }
 };
-
-/** Bitwise equality of two cells (POD stats + identity strings). */
-::testing::AssertionResult
-cellsIdentical(const SimResult &a, const SimResult &b)
-{
-    if (a.workload != b.workload)
-        return ::testing::AssertionFailure()
-               << "workload: " << a.workload << " vs " << b.workload;
-    if (a.prefetcher != b.prefetcher)
-        return ::testing::AssertionFailure()
-               << "prefetcher: " << a.prefetcher << " vs "
-               << b.prefetcher;
-    if (a.prefetcherStorageBits != b.prefetcherStorageBits)
-        return ::testing::AssertionFailure() << "storage bits differ";
-    if (std::memcmp(&a.core, &b.core, sizeof(a.core)) != 0)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": CoreStats differ";
-    if (a.mem != b.mem)
-        return ::testing::AssertionFailure()
-               << a.workload << "/" << a.prefetcher
-               << ": HierarchyStats differ";
-    if (a.perCore.size() != b.perCore.size())
-        return ::testing::AssertionFailure() << "perCore size differs";
-    for (std::size_t c = 0; c < a.perCore.size(); ++c) {
-        if (std::memcmp(&a.perCore[c].core, &b.perCore[c].core,
-                        sizeof(a.perCore[c].core)) != 0 ||
-            std::memcmp(&a.perCore[c].mem, &b.perCore[c].mem,
-                        sizeof(a.perCore[c].mem)) != 0) {
-            return ::testing::AssertionFailure()
-                   << "per-core slice " << c << " differs";
-        }
-    }
-    return ::testing::AssertionSuccess();
-}
-
-::testing::AssertionResult
-matricesIdentical(const ExperimentMatrix &a, const ExperimentMatrix &b)
-{
-    if (a.rows.size() != b.rows.size())
-        return ::testing::AssertionFailure() << "row counts differ";
-    for (std::size_t r = 0; r < a.rows.size(); ++r) {
-        if (a.rows[r].byPrefetcher.size() !=
-            b.rows[r].byPrefetcher.size())
-            return ::testing::AssertionFailure() << "cell counts differ";
-        for (std::size_t k = 0; k < a.rows[r].byPrefetcher.size();
-             ++k) {
-            auto cell = cellsIdentical(a.rows[r].byPrefetcher[k],
-                                       b.rows[r].byPrefetcher[k]);
-            if (!cell)
-                return cell;
-        }
-    }
-    return ::testing::AssertionSuccess();
-}
 
 std::vector<WorkloadPtr>
 sampleWorkloads()
@@ -115,7 +59,7 @@ runSmallMatrix(unsigned jobs)
     const auto ws = sampleWorkloads();
     MatrixOptions opts;
     opts.jobs = jobs;
-    return runMatrix(ws, allPrefetcherKinds(), SystemConfig(), 10000,
+    return runMatrix(ws, allSchemeNames(), SystemConfig(), 10000,
                      42, opts);
 }
 
@@ -132,7 +76,8 @@ TEST(ReplayOpt, TogglesBitIdenticalAcrossJobCounts)
                 continue; // the reference itself
             SCOPED_TRACE(::testing::Message()
                          << "skipAhead=" << skip << " jobs=" << jobs);
-            EXPECT_TRUE(matricesIdentical(ref, runSmallMatrix(jobs)));
+            EXPECT_TRUE(
+                test::matricesIdentical(ref, runSmallMatrix(jobs)));
         }
     }
 }
@@ -163,7 +108,7 @@ TEST(ReplayOpt, TogglesBitIdenticalOnFourCoreLockstepDriver)
     ASSERT_EQ(ref.perCore.size(), 4u);
 
     Tuning::get().skipAhead = false;
-    EXPECT_TRUE(cellsIdentical(ref, run()));
+    EXPECT_TRUE(test::cellsIdentical(ref, run()));
 }
 
 /**

@@ -15,20 +15,22 @@ namespace
 
 TEST(Config, PrefetcherNames)
 {
-    EXPECT_STREQ(toString(PrefetcherKind::None), "No-Prefetch");
-    EXPECT_STREQ(toString(PrefetcherKind::Sms), "SMS");
-    EXPECT_STREQ(toString(PrefetcherKind::CbwsSms), "CBWS+SMS");
-    EXPECT_EQ(allPrefetcherKinds().size(), 7u);
+    const std::vector<std::string> names = allSchemeNames();
+    ASSERT_EQ(names.size(), 7u);
+    EXPECT_EQ(names.front(), "No-Prefetch");
+    EXPECT_EQ(names[4], "SMS");
+    EXPECT_EQ(names.back(), "CBWS+SMS");
+    EXPECT_EQ(SystemConfig().scheme, "No-Prefetch");
 }
 
 TEST(Config, MakePrefetcherMatchesKind)
 {
-    for (PrefetcherKind kind : allPrefetcherKinds()) {
+    for (const std::string &name : allSchemeNames()) {
         SystemConfig cfg;
-        cfg.prefetcher = kind;
+        cfg.scheme = name;
         auto pf = makePrefetcher(cfg);
         ASSERT_NE(pf, nullptr);
-        EXPECT_EQ(pf->name(), toString(kind));
+        EXPECT_EQ(pf->name(), name);
     }
 }
 
@@ -59,7 +61,7 @@ TEST(Simulate, CbwsCutsStencilMisses)
     w->generate(t, params);
 
     SystemConfig none_cfg, cbws_cfg;
-    cbws_cfg.prefetcher = PrefetcherKind::Cbws;
+    cbws_cfg.scheme = "CBWS";
     SimResult none = simulate(t, none_cfg, params.maxInstructions);
     SimResult cbws = simulate(t, cbws_cfg, params.maxInstructions);
     EXPECT_LT(cbws.mpki(), none.mpki() * 0.3);
@@ -72,7 +74,7 @@ TEST(Simulate, DifferentialProbeAttaches)
     WorkloadParams params;
     params.maxInstructions = 10000;
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::Cbws;
+    cfg.scheme = "CBWS";
     FrequencyCounter probe;
     SimProbes probes;
     probes.differentials = &probe;
@@ -85,7 +87,7 @@ TEST(Simulate, DifferentialProbeAttaches)
     // The probe also attaches through the composite.
     FrequencyCounter probe2;
     probes.differentials = &probe2;
-    cfg.prefetcher = PrefetcherKind::CbwsSms;
+    cfg.scheme = "CBWS+SMS";
     simulateWorkload(*w, cfg, params, probes);
     EXPECT_GT(probe2.total(), 100u);
 }
@@ -112,7 +114,7 @@ TEST(Simulate, DeterministicAcrossRuns)
     Trace t;
     w->generate(t, params);
     SystemConfig cfg;
-    cfg.prefetcher = PrefetcherKind::CbwsSms;
+    cfg.scheme = "CBWS+SMS";
     SimResult a = simulate(t, cfg, params.maxInstructions);
     SimResult b = simulate(t, cfg, params.maxInstructions);
     EXPECT_EQ(a.core.cycles, b.core.cycles);
@@ -125,14 +127,13 @@ TEST(Experiment, MatrixShapeAndLookup)
     std::vector<WorkloadPtr> ws;
     ws.push_back(findWorkload("sgemm-medium"));
     ws.push_back(findWorkload("histo-large"));
-    const std::vector<PrefetcherKind> kinds = {
-        PrefetcherKind::None, PrefetcherKind::Sms,
-        PrefetcherKind::CbwsSms};
+    const std::vector<std::string> kinds = {"No-Prefetch", "SMS",
+                                            "CBWS+SMS"};
     SystemConfig cfg;
     auto matrix = runMatrix(ws, kinds, cfg, 12000);
     ASSERT_EQ(matrix.rows.size(), 2u);
     ASSERT_EQ(matrix.rows[0].byPrefetcher.size(), 3u);
-    EXPECT_EQ(matrix.result(0, PrefetcherKind::Sms).prefetcher,
+    EXPECT_EQ(matrix.result(0, "SMS").prefetcher,
               "SMS");
     EXPECT_EQ(matrix.rows[0].workload, "sgemm-medium");
     EXPECT_TRUE(matrix.rows[0].memoryIntensive);

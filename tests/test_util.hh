@@ -6,10 +6,13 @@
 #ifndef CBWS_TESTS_TEST_UTIL_HH
 #define CBWS_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+
 #include <set>
 #include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "sim/experiment.hh"
 #include "trace/trace.hh"
 
 namespace cbws
@@ -94,6 +97,51 @@ replayTrace(const Trace &trace, Prefetcher &pf, PrefetchSink &sink)
             break;
         }
     }
+}
+
+/**
+ * Exact equality of two cells (SimResult::operator==). A mismatch
+ * names the cell and the first differing group: identity (names,
+ * core count, DRAM backend, storage bits), core, mem or perCore.
+ */
+inline ::testing::AssertionResult
+cellsIdentical(const SimResult &a, const SimResult &b)
+{
+    if (a == b)
+        return ::testing::AssertionSuccess();
+    const char *group = "perCore";
+    if (a.workload != b.workload || a.prefetcher != b.prefetcher ||
+        a.dramBackend != b.dramBackend || a.cores != b.cores ||
+        a.prefetcherStorageBits != b.prefetcherStorageBits)
+        group = "identity";
+    else if (!(a.core == b.core))
+        group = "core";
+    else if (!(a.mem == b.mem))
+        group = "mem";
+    return ::testing::AssertionFailure()
+           << a.workload << "/" << a.prefetcher << ": " << group
+           << " differs";
+}
+
+/** cellsIdentical over every cell of two matrices of one shape. */
+inline ::testing::AssertionResult
+matricesIdentical(const ExperimentMatrix &a, const ExperimentMatrix &b)
+{
+    if (a.rows.size() != b.rows.size())
+        return ::testing::AssertionFailure() << "row counts differ";
+    for (std::size_t r = 0; r < a.rows.size(); ++r) {
+        if (a.rows[r].byPrefetcher.size() !=
+            b.rows[r].byPrefetcher.size())
+            return ::testing::AssertionFailure() << "cell counts differ";
+        for (std::size_t k = 0; k < a.rows[r].byPrefetcher.size();
+             ++k) {
+            auto cell = cellsIdentical(a.rows[r].byPrefetcher[k],
+                                       b.rows[r].byPrefetcher[k]);
+            if (!cell)
+                return cell;
+        }
+    }
+    return ::testing::AssertionSuccess();
 }
 
 } // namespace test

@@ -10,7 +10,8 @@
  *   cbws-sim --list
  *   cbws-sim --workload sgemm-medium --prefetcher all
  *   cbws-sim --workload nw --prefetcher CBWS --insts 200000 --csv
- *   cbws-sim --workload fft-simlarge --cbws-table-entries 64
+ *   cbws-sim --workload fft-simlarge --pf-opt cbws.table-entries=64
+ *   cbws-sim --workload nw --prefetcher CBWS --pf-opt num-steps=6
  *   cbws-sim --workload stencil-default --save-trace stencil.cbt
  *   cbws-sim --load-trace stencil.cbt --prefetcher CBWS+SMS
  *   cbws-sim --workload radix-simlarge --auto-annotate
@@ -107,20 +108,6 @@ listWorkloads()
 void
 applyOverrides(const ArgParser &args, SystemConfig &config)
 {
-    if (args.provided("cbws-table-entries")) {
-        config.cbws.tableEntries = static_cast<unsigned>(
-            args.getUint("cbws-table-entries", 16));
-    }
-    if (args.provided("cbws-max-members")) {
-        config.cbws.maxVectorMembers = static_cast<unsigned>(
-            args.getUint("cbws-max-members", 16));
-    }
-    if (args.provided("cbws-steps")) {
-        config.cbws.numSteps =
-            static_cast<unsigned>(args.getUint("cbws-steps", 4));
-    }
-    if (args.getFlag("cbws-train-misses-only"))
-        config.cbws.trainOnHits = false;
     if (args.provided("l2-kb")) {
         config.mem.l2.sizeBytes =
             args.getUint("l2-kb", 2048) * 1024;
@@ -317,13 +304,6 @@ main(int argc, char **argv)
                    "");
     args.addOption("l2-banks",
                    "L2 banks arbitrating multi-core accesses", "");
-    args.addOption("cbws-table-entries",
-                   "CBWS differential table entries", "");
-    args.addOption("cbws-max-members",
-                   "CBWS max working-set members", "");
-    args.addOption("cbws-steps", "CBWS prediction depth", "");
-    args.addFlag("cbws-train-misses-only",
-                 "CBWS tracks only L1 misses inside blocks");
     args.addOption("l2-kb", "L2 capacity in KB", "");
     args.addOption("dram",
                    "DRAM timing backend ('help' lists them)",
