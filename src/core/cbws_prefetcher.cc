@@ -5,7 +5,6 @@
 #include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/metrics.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -250,14 +249,5 @@ cbwsParamSchema()
         .field("table-seed", &CbwsParams::tableSeed,
                "random-eviction seed for the differential table");
 }
-
-CBWS_REGISTER_PREFETCHER(cbws, "CBWS",
-                         "code block working set prefetcher (the "
-                         "paper's scheme)",
-                         cbwsParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<CbwsPrefetcher>(
-                                 p.getOr<CbwsParams>());
-                         })
 
 } // namespace cbws

@@ -15,10 +15,11 @@
  * and an FR-FCFS-style scheduler that deprioritises prefetch-sourced
  * requests under queue pressure.
  *
- * Backends register by name in a string-keyed registry (mirroring
- * PrefetcherRegistry) from their own translation units; consumers
- * select one via HierarchyParams::dramBackend ("fixed" is the
- * default) or the `cbws-sim --dram <backend>` flag.
+ * Backends are rows of a fixed, string-keyed table (mirroring
+ * PrefetcherRegistry) in mem/dram/backend.cc; consumers select one
+ * via HierarchyParams::dramBackend ("fixed" is the default) or the
+ * `cbws-sim --dram <backend>` flag. Adding a backend is one row in
+ * that table plus its file in src/mem/CMakeLists.txt.
  *
  * Contract required of every backend:
  *  - Deterministic: completion cycles are a pure function of the
@@ -36,14 +37,11 @@
 #define CBWS_MEM_DRAM_BACKEND_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "base/logging.hh"
 #include "base/result.hh"
 #include "base/types.hh"
 
@@ -196,34 +194,23 @@ class DramBackend
     DramStats stats_;
 };
 
+/** The `fixed` backend (fixed.cc): Table II's flat latency. */
+std::unique_ptr<DramBackend>
+makeFixedDramBackend(const HierarchyParams &params);
+
 /**
- * String-keyed backend registry, mirroring PrefetcherRegistry: each
- * backend registers a factory from its own translation unit, lookup
- * is case-insensitive, and duplicates warn instead of replacing.
- * Fully inline for the same archive-layout reasons (see
- * prefetch/registry.hh).
+ * The immutable table of DRAM backends, keyed by case-insensitive
+ * name (see file comment).
  */
 class DramBackendRegistry
 {
   public:
-    using Factory = std::function<std::unique_ptr<DramBackend>(
-        const HierarchyParams &params)>;
+    using Factory =
+        std::unique_ptr<DramBackend> (*)(const HierarchyParams &params);
 
-    bool
-    add(const std::string &name, const std::string &description,
-        Factory factory)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto [it, inserted] = entries_.emplace(
-            canon(name),
-            Entry{name, description, std::move(factory)});
-        (void)it;
-        if (!inserted)
-            warn("dram backend registry: duplicate registration of "
-                 "'%s' ignored",
-                 name.c_str());
-        return inserted;
-    }
+    /** Build the name map from the backend table (backend.cc); a
+     *  duplicate name is a panic. */
+    DramBackendRegistry();
 
     /** Instantiate the backend registered under @p name
      *  (case-insensitive). NotFound lists the registered names. */
@@ -231,14 +218,8 @@ class DramBackendRegistry
     create(const std::string &name,
            const HierarchyParams &params) const
     {
-        Factory factory;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = entries_.find(canon(name));
-            if (it != entries_.end())
-                factory = it->second.factory;
-        }
-        if (!factory) {
+        const Entry *entry = find(name);
+        if (!entry) {
             std::string known;
             for (const auto &n : names())
                 known += (known.empty() ? "" : ", ") + n;
@@ -246,21 +227,19 @@ class DramBackendRegistry
                          "no DRAM backend registered as '" + name +
                              "' (registered: " + known + ")");
         }
-        return factory(params);
+        return entry->factory(params);
     }
 
     bool
     contains(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.count(canon(name)) != 0;
+        return find(name) != nullptr;
     }
 
     /** Canonical names, sorted (stable `--dram help` output). */
     std::vector<std::string>
     names() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         std::vector<std::string> out;
         out.reserve(entries_.size());
         for (const auto &entry : entries_)
@@ -272,10 +251,8 @@ class DramBackendRegistry
     std::string
     describe(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(canon(name));
-        return it == entries_.end() ? std::string()
-                                    : it->second.description;
+        const Entry *entry = find(name);
+        return entry ? entry->description : std::string();
     }
 
   private:
@@ -285,6 +262,13 @@ class DramBackendRegistry
         std::string description;
         Factory factory;
     };
+
+    const Entry *
+    find(const std::string &name) const
+    {
+        const auto it = entries_.find(canon(name));
+        return it == entries_.end() ? nullptr : &it->second;
+    }
 
     static std::string
     canon(const std::string &name)
@@ -298,49 +282,11 @@ class DramBackendRegistry
         return out;
     }
 
-    mutable std::mutex mutex_;
     std::map<std::string, Entry> entries_; ///< canon(name) -> entry
 };
 
-/** The process-wide registry (safe across static initialisers). */
-inline DramBackendRegistry &
-dramBackendRegistry()
-{
-    static DramBackendRegistry registry;
-    return registry;
-}
-
-/**
- * Self-registration from a backend's translation unit:
- *
- *   CBWS_REGISTER_DRAM_BACKEND(fixed, "fixed", "flat latency",
- *       [](const HierarchyParams &p) {
- *           return std::make_unique<FixedDramBackend>(p);
- *       })
- *
- * @p tag is a C identifier naming the linker anchor.
- */
-#define CBWS_REGISTER_DRAM_BACKEND(tag, name, description, ...)        \
-    extern "C" char cbwsDramBackendAnchor_##tag;                       \
-    char cbwsDramBackendAnchor_##tag = 0;                              \
-    namespace {                                                        \
-    const bool cbwsDramBackendReg_##tag [[maybe_unused]] =             \
-        ::cbws::dramBackendRegistry().add(name, description,           \
-                                          __VA_ARGS__);                \
-    }
-
-/**
- * Pin a backend's registration TU into the link (static-archive
- * caveat; see prefetch/registry.hh). Lives in an always-linked TU of
- * the consumer — hierarchy.cc pins the built-ins.
- */
-#define CBWS_FORCE_LINK_DRAM_BACKEND(tag)                              \
-    extern "C" char cbwsDramBackendAnchor_##tag;                       \
-    namespace {                                                        \
-    [[gnu::used, maybe_unused]] const char                             \
-        *const cbwsDramBackendPin_##tag =                              \
-            &cbwsDramBackendAnchor_##tag;                              \
-    }
+/** The process-wide backend table (built on first use). */
+const DramBackendRegistry &dramBackendRegistry();
 
 } // namespace cbws
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 
 #include "base/debug.hh"
 #include "base/logging.hh"
@@ -296,15 +295,5 @@ DdrBackend::writeQueueDepth(Cycle now) const
         depth += static_cast<unsigned>(ch.writeQueue.size());
     return depth;
 }
-
-CBWS_REGISTER_DRAM_BACKEND(
-    ddr, "ddr",
-    "cycle-level banked model: channels/ranks/banks, open-page rows, "
-    "tRCD/tRP/tCL/tFAW/refresh, read/write queues with write-drain, "
-    "FR-FCFS-style scheduling that defers prefetches under queue "
-    "pressure",
-    [](const HierarchyParams &params) {
-        return std::make_unique<DdrBackend>(params);
-    })
 
 } // namespace cbws

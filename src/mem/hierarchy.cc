@@ -34,11 +34,6 @@ className(DemandClass cls)
 
 } // anonymous namespace
 
-// The built-in backends live in their own TUs inside a static
-// archive; pin them into any link that uses the hierarchy.
-CBWS_FORCE_LINK_DRAM_BACKEND(fixed)
-CBWS_FORCE_LINK_DRAM_BACKEND(ddr)
-
 Hierarchy::Hierarchy(const HierarchyParams &params)
     : params_(params),
       l2_(params.l2, 0x122),

@@ -1,8 +1,6 @@
 #include "prefetch/addon.hh"
 
 #include "base/logging.hh"
-#include "prefetch/ampm.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -98,18 +96,5 @@ CbwsAddOnPrefetcher::name() const
 {
     return "CBWS+" + base_->name();
 }
-
-CBWS_REGISTER_PREFETCHER(cbws_ampm, "CBWS+AMPM",
-                         "CBWS gating an AMPM base prefetcher",
-                         ParamSchema()
-                             .scoped("cbws", cbwsParamSchema())
-                             .scoped("ampm", ampmParamSchema()),
-                         [](const ParamSet &p) {
-                             return std::make_unique<
-                                 CbwsAddOnPrefetcher>(
-                                 std::make_unique<AmpmPrefetcher>(
-                                     p.getOr<AmpmParams>()),
-                                 p.getOr<CbwsParams>());
-                         })
 
 } // namespace cbws

@@ -1,7 +1,6 @@
 #include "prefetch/ampm.hh"
 
 #include "base/logging.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -104,13 +103,5 @@ ampmParamSchema()
         .field("tag-bits", &AmpmParams::tagBits,
                "zone tag width (storage accounting)");
 }
-
-CBWS_REGISTER_PREFETCHER(ampm, "AMPM",
-                         "access map pattern matching prefetcher",
-                         ampmParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<AmpmPrefetcher>(
-                                 p.getOr<AmpmParams>());
-                         })
 
 } // namespace cbws

@@ -1,7 +1,5 @@
 #include "prefetch/composite.hh"
 
-#include "prefetch/registry.hh"
-
 namespace cbws
 {
 
@@ -47,19 +45,5 @@ CbwsSmsPrefetcher::storageBits() const
 {
     return cbws_.storageBits() + sms_.storageBits();
 }
-
-// Composite schemes expose per-component tuning through scoped keys:
-// `--pf-opt cbws.table-entries=32 --pf-opt sms.region-bytes=4096`.
-CBWS_REGISTER_PREFETCHER(cbws_sms, "CBWS+SMS",
-                         "CBWS with SMS fallback (Section VI "
-                         "integration)",
-                         ParamSchema()
-                             .scoped("cbws", cbwsParamSchema())
-                             .scoped("sms", smsParamSchema()),
-                         [](const ParamSet &p) {
-                             return std::make_unique<CbwsSmsPrefetcher>(
-                                 p.getOr<CbwsParams>(),
-                                 p.getOr<SmsParams>());
-                         })
 
 } // namespace cbws

@@ -1,7 +1,6 @@
 #include "prefetch/multistride.hh"
 
 #include "base/metrics.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -154,15 +153,5 @@ multistrideParamSchema()
         .field("stride-bits", &MultistrideParams::strideBits,
                "delta field width (storage accounting)");
 }
-
-CBWS_REGISTER_PREFETCHER(multistride, "Multistride",
-                         "IP-indexed multi-stride hybrid (Blom et "
-                         "al.)",
-                         multistrideParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<
-                                 MultistridePrefetcher>(
-                                 p.getOr<MultistrideParams>());
-                         })
 
 } // namespace cbws

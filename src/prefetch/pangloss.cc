@@ -1,7 +1,6 @@
 #include "prefetch/pangloss.hh"
 
 #include "base/metrics.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -207,15 +206,5 @@ panglossParamSchema()
         .field("tag-bits", &PanglossParams::tagBits,
                "page tag width (storage accounting)");
 }
-
-CBWS_REGISTER_PREFETCHER(pangloss, "Pangloss",
-                         "per-page Markov chain over line deltas, "
-                         "compressed transition table",
-                         panglossParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<
-                                 PanglossPrefetcher>(
-                                 p.getOr<PanglossParams>());
-                         })
 
 } // namespace cbws

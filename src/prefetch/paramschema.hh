@@ -37,7 +37,44 @@
 namespace cbws
 {
 
-class ParamSet; // registry.hh; only referenced through std::function
+/**
+ * Type-erased bag of per-scheme parameter structs, keyed by type.
+ * set(StrideParams{...}) stores a copy; get<StrideParams>() returns
+ * it (or nullptr when absent — use getOr() for defaulting).
+ */
+class ParamSet
+{
+  public:
+    template <typename T>
+    void
+    set(const T &value)
+    {
+        slots_[std::type_index(typeid(T))] =
+            std::make_shared<T>(value);
+    }
+
+    template <typename T>
+    const T *
+    get() const
+    {
+        const auto it = slots_.find(std::type_index(typeid(T)));
+        return it == slots_.end()
+                   ? nullptr
+                   : static_cast<const T *>(it->second.get());
+    }
+
+    /** The stored T, or a default-constructed one (Table II). */
+    template <typename T>
+    T
+    getOr() const
+    {
+        const T *p = get<T>();
+        return p ? *p : T();
+    }
+
+  private:
+    std::map<std::type_index, std::shared_ptr<const void>> slots_;
+};
 
 namespace detail
 {
@@ -130,7 +167,7 @@ parseParamValue(const std::string &text, M &out)
 
 /**
  * Ordered set of key -> struct-member bindings for one scheme. Built
- * at registration time next to the factory; see file comment.
+ * once per scheme by the registry table; see file comment.
  *
  * The apply functions capture only member pointers, so a schema is
  * cheap to copy and safe to hand out by value.
@@ -169,9 +206,9 @@ class ParamSchema
                             detail::parseParamValue(value, parsed);
                         if (!r.ok())
                             return r;
-                        S current = getCurrent<S>(params);
+                        S current = params.getOr<S>();
                         current.*member = parsed;
-                        setCurrent(params, current);
+                        params.set(current);
                         return Result<void>();
                     });
     }
@@ -246,12 +283,6 @@ class ParamSchema
             infos_.push_back(std::move(info));
         return *this;
     }
-
-    // Defined in registry.hh once ParamSet is complete.
-    template <typename S>
-    static S getCurrent(const ParamSet &params);
-    template <typename S>
-    static void setCurrent(ParamSet &params, const S &value);
 
     std::vector<KeyInfo> infos_;         ///< declaration order
     std::map<std::string, ApplyFn> apply_; ///< key -> writer

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/metrics.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -219,14 +218,5 @@ pythiaParamSchema()
         .field("q-bits", &PythiaParams::qBits,
                "per-weight width (storage accounting)");
 }
-
-CBWS_REGISTER_PREFETCHER(pythia, "Pythia",
-                         "online-RL prefetcher: pluggable features, "
-                         "discrete actions, shaped rewards",
-                         pythiaParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<PythiaPrefetcher>(
-                                 p.getOr<PythiaParams>());
-                         })
 
 } // namespace cbws

@@ -2,10 +2,10 @@
  * @file
  * String-keyed prefetcher registry.
  *
- * Pythia-style customisable framework: every scheme registers a
- * factory under the name the paper's figures use ("CBWS+SMS",
- * "GHB-PC/DC", ...), from its *own* translation unit, and consumers
- * instantiate by name:
+ * Pythia-style customisable framework: every scheme is one row of
+ * the fixed table in prefetch/registry.cc — the name the paper's
+ * figures use ("CBWS+SMS", "GHB-PC/DC", ...), a description, its
+ * ParamSchema and a factory — and consumers instantiate by name:
  *
  *     auto pf = prefetcherRegistry().create("cbws+sms", params);
  *
@@ -17,27 +17,19 @@
  * and ::pfOpts); makePrefetcher applies the options through the
  * scheme's ParamSchema onto an empty ParamSet.
  *
- * Static-archive caveat: a registration living in an otherwise
- * unreferenced object file is dropped by the linker. Each
- * CBWS_REGISTER_PREFETCHER therefore also defines a linker anchor,
- * and any always-linked TU (sim/config.cc for the built-ins) pins the
- * scheme with CBWS_FORCE_LINK_PREFETCHER. Schemes registered from an
- * executable's own sources need no anchor.
+ * Adding a scheme is one row in prefetch/registry.cc plus its file
+ * in src/prefetch/CMakeLists.txt. The table is built once, on first
+ * use, and never changes afterwards.
  */
 
 #ifndef CBWS_PREFETCH_REGISTRY_HH
 #define CBWS_PREFETCH_REGISTRY_HH
 
-#include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <typeindex>
 #include <vector>
 
-#include "base/logging.hh"
 #include "base/result.hh"
 #include "prefetch/paramschema.hh"
 #include "prefetch/prefetcher.hh"
@@ -45,130 +37,16 @@
 namespace cbws
 {
 
-/**
- * Type-erased bag of per-scheme parameter structs, keyed by type.
- * set(StrideParams{...}) stores a copy; get<StrideParams>() returns
- * it (or nullptr when absent — use getOr() for defaulting).
- */
-class ParamSet
-{
-  public:
-    template <typename T>
-    void
-    set(const T &value)
-    {
-        slots_[std::type_index(typeid(T))] =
-            std::make_shared<T>(value);
-    }
-
-    template <typename T>
-    const T *
-    get() const
-    {
-        const auto it = slots_.find(std::type_index(typeid(T)));
-        return it == slots_.end()
-                   ? nullptr
-                   : static_cast<const T *>(it->second.get());
-    }
-
-    /** The stored T, or a default-constructed one (Table II). */
-    template <typename T>
-    T
-    getOr() const
-    {
-        const T *p = get<T>();
-        return p ? *p : T();
-    }
-
-  private:
-    std::map<std::type_index, std::shared_ptr<const void>> slots_;
-};
-
-// ParamSchema's member writers (paramschema.hh) need a complete
-// ParamSet: read the scheme's current struct (Table II defaults when
-// absent), mutate one member, store it back.
-template <typename S>
-S
-ParamSchema::getCurrent(const ParamSet &params)
-{
-    return params.getOr<S>();
-}
-
-template <typename S>
-void
-ParamSchema::setCurrent(ParamSet &params, const S &value)
-{
-    params.set(value);
-}
-
-/**
- * Fully inline so registration TUs in any library (cbws_core hosts
- * CBWS, cbws_prefetch the rest) can use it without a link-time
- * dependency between those libraries.
- */
+/** The immutable table of every prefetch scheme, keyed by name. */
 class PrefetcherRegistry
 {
   public:
-    using Factory = std::function<std::unique_ptr<Prefetcher>(
-        const ParamSet &params)>;
+    using Factory =
+        std::unique_ptr<Prefetcher> (*)(const ParamSet &params);
 
-    /**
-     * Register @p factory under @p name (the canonical display name).
-     * First registration wins, so a mislinked duplicate cannot
-     * silently shadow a scheme: a duplicate is a hard error (panic)
-     * in strict mode — on by default under the test suite via
-     * CBWS_STRICT_REGISTRY=1 — and returns false with a warning
-     * otherwise.
-     */
-    bool
-    add(const std::string &name, const std::string &description,
-        Factory factory)
-    {
-        return add(name, description, ParamSchema(),
-                   std::move(factory));
-    }
-
-    /**
-     * Register @p factory together with the scheme's parameter
-     * schema — the describe() seam behind `--scheme help` and
-     * `--pf-opt`.
-     */
-    bool
-    add(const std::string &name, const std::string &description,
-        ParamSchema schema, Factory factory)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto [it, inserted] = entries_.emplace(
-            canon(name), Entry{name, description, std::move(schema),
-                               std::move(factory)});
-        (void)it;
-        if (!inserted) {
-            panic_if(strictDuplicates_,
-                     "prefetcher registry: duplicate registration of "
-                     "'%s' — a mistyped self-registration would "
-                     "shadow a real scheme (set CBWS_STRICT_REGISTRY=0 "
-                     "to downgrade to a warning)",
-                     name.c_str());
-            warn("prefetcher registry: duplicate registration of "
-                 "'%s' ignored",
-                 name.c_str());
-        }
-        return inserted;
-    }
-
-    /**
-     * Toggle the duplicate-registration hard error; returns the
-     * previous setting. Defaults to the CBWS_STRICT_REGISTRY
-     * environment variable ("0"/unset = warn, anything else = panic).
-     */
-    bool
-    setStrictDuplicates(bool strict)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const bool previous = strictDuplicates_;
-        strictDuplicates_ = strict;
-        return previous;
-    }
+    /** Build the name map from the scheme table (registry.cc);
+     *  a duplicate name is a panic. */
+    PrefetcherRegistry();
 
     /** Instantiate the scheme registered under @p name
      *  (case-insensitive). NotFound lists the registered names. */
@@ -176,37 +54,23 @@ class PrefetcherRegistry
     create(const std::string &name,
            const ParamSet &params = ParamSet()) const
     {
-        Factory factory;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = entries_.find(canon(name));
-            if (it != entries_.end())
-                factory = it->second.factory;
-        }
-        if (!factory) {
-            std::string known;
-            for (const auto &n : names())
-                known += (known.empty() ? "" : ", ") + n;
-            return Error(Errc::NotFound,
-                         "no prefetcher registered as '" + name +
-                             "' (registered: " + known + ")");
-        }
-        return factory(params);
+        const Entry *entry = find(name);
+        if (!entry)
+            return notFound(name);
+        return entry->factory(params);
     }
 
     bool
     contains(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.count(canon(name)) != 0;
+        return find(name) != nullptr;
     }
 
     /** Canonical names, sorted case-insensitively (stable output for
-     *  `--scheme help` regardless of registration order). */
+     *  `--scheme help` regardless of table order). */
     std::vector<std::string>
     names() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         std::vector<std::string> out;
         out.reserve(entries_.size());
         for (const auto &entry : entries_)
@@ -219,39 +83,27 @@ class PrefetcherRegistry
     std::string
     canonicalName(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(canon(name));
-        return it == entries_.end() ? std::string()
-                                    : it->second.name;
+        const Entry *entry = find(name);
+        return entry ? entry->name : std::string();
     }
 
     /** Registered description of @p name (empty when unknown). */
     std::string
     describe(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(canon(name));
-        return it == entries_.end() ? std::string()
-                                    : it->second.description;
+        const Entry *entry = find(name);
+        return entry ? entry->description : std::string();
     }
 
-    /** The scheme's parameter schema (empty when unknown or when the
-     *  scheme registered without one). */
-    ParamSchema
+    /** The scheme's parameter schema — accepted keys + Table II
+     *  defaults in declaration order (empty when unknown or when the
+     *  scheme has no tunables). */
+    const ParamSchema &
     paramSchema(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(canon(name));
-        return it == entries_.end() ? ParamSchema()
-                                    : it->second.schema;
-    }
-
-    /** The describe() seam: accepted keys + Table II defaults of
-     *  @p name, in declaration order (empty when unknown). */
-    std::vector<ParamSchema::KeyInfo>
-    describeParams(const std::string &name) const
-    {
-        return paramSchema(name).keys();
+        static const ParamSchema none;
+        const Entry *entry = find(name);
+        return entry ? entry->schema : none;
     }
 
     /**
@@ -267,7 +119,7 @@ class PrefetcherRegistry
                  const std::vector<std::string> &opts,
                  bool ignore_unknown = false) const
     {
-        const ParamSchema schema = paramSchema(name);
+        const ParamSchema &schema = paramSchema(name);
         for (const auto &opt : opts) {
             std::string key, value;
             Result<void> split = splitOption(opt, key, value);
@@ -306,16 +158,9 @@ class PrefetcherRegistry
     validateOptions(const std::vector<std::string> &schemes,
                     const std::vector<std::string> &opts) const
     {
-        for (const auto &scheme : schemes) {
-            if (contains(scheme))
-                continue;
-            std::string known;
-            for (const auto &n : names())
-                known += (known.empty() ? "" : ", ") + n;
-            return Error(Errc::NotFound,
-                         "no prefetcher registered as '" + scheme +
-                             "' (registered: " + known + ")");
-        }
+        for (const auto &scheme : schemes)
+            if (!contains(scheme))
+                return notFound(scheme);
         for (const auto &opt : opts) {
             std::string key, value;
             Result<void> split = splitOption(opt, key, value);
@@ -323,7 +168,7 @@ class PrefetcherRegistry
                 return split;
             unsigned acceptors = 0;
             for (const auto &scheme : schemes) {
-                const ParamSchema schema = paramSchema(scheme);
+                const ParamSchema &schema = paramSchema(scheme);
                 if (!schema.accepts(key))
                     continue;
                 ++acceptors;
@@ -381,6 +226,25 @@ class PrefetcherRegistry
         Factory factory;
     };
 
+    const Entry *
+    find(const std::string &name) const
+    {
+        const auto it = entries_.find(canon(name));
+        return it == entries_.end() ? nullptr : &it->second;
+    }
+
+    /** NotFound naming @p name and every registered scheme. */
+    Error
+    notFound(const std::string &name) const
+    {
+        std::string known;
+        for (const auto &n : names())
+            known += (known.empty() ? "" : ", ") + n;
+        return Error(Errc::NotFound, "no prefetcher registered as '" +
+                                         name + "' (registered: " +
+                                         known + ")");
+    }
+
     /** Split "key=value" (both non-empty) or fail InvalidArgument. */
     static Result<void>
     splitOption(const std::string &opt, std::string &key,
@@ -397,62 +261,11 @@ class PrefetcherRegistry
         return Result<void>();
     }
 
-    /** CBWS_STRICT_REGISTRY: "0"/unset = warn, else hard error. */
-    static bool
-    strictFromEnv()
-    {
-        const char *env = std::getenv("CBWS_STRICT_REGISTRY");
-        return env != nullptr && std::string(env) != "0";
-    }
-
-    mutable std::mutex mutex_;
     std::map<std::string, Entry> entries_; ///< canon(name) -> entry
-    bool strictDuplicates_ = strictFromEnv();
 };
 
-/** The process-wide registry (safe across static initialisers). */
-inline PrefetcherRegistry &
-prefetcherRegistry()
-{
-    static PrefetcherRegistry registry;
-    return registry;
-}
-
-/**
- * Self-registration from a scheme's translation unit:
- *
- *   CBWS_REGISTER_PREFETCHER(stride, "Stride", "RPT stride prefetcher",
- *       strideParamSchema(),
- *       [](const ParamSet &p) {
- *           return std::make_unique<StridePrefetcher>(
- *               p.getOr<StrideParams>());
- *       })
- *
- * The ParamSchema argument is optional (schemes without tunables omit
- * it); @p tag is a C identifier naming the linker anchor.
- */
-#define CBWS_REGISTER_PREFETCHER(tag, name, description, ...)          \
-    extern "C" char cbwsPrefetcherAnchor_##tag;                        \
-    char cbwsPrefetcherAnchor_##tag = 0;                               \
-    namespace {                                                        \
-    const bool cbwsPrefetcherReg_##tag [[maybe_unused]] =              \
-        ::cbws::prefetcherRegistry().add(name, description,            \
-                                         __VA_ARGS__);                 \
-    }
-
-/**
- * Pin a scheme's registration TU into the link (see file comment).
- * Lives in an always-linked TU of the consumer.
- */
-#define CBWS_FORCE_LINK_PREFETCHER(tag)                                \
-    extern "C" char cbwsPrefetcherAnchor_##tag;                        \
-    namespace {                                                        \
-    /* [[gnu::used]]: an unreferenced internal-linkage constant would \
-     * otherwise be discarded before it creates the relocation that   \
-     * drags the registration TU out of its archive. */               \
-    [[gnu::used, maybe_unused]] const char                             \
-        *const cbwsPrefetcherPin_##tag = &cbwsPrefetcherAnchor_##tag;  \
-    }
+/** The process-wide scheme table (built on first use). */
+const PrefetcherRegistry &prefetcherRegistry();
 
 } // namespace cbws
 

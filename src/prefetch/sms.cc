@@ -5,7 +5,6 @@
 #include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/metrics.hh"
-#include "prefetch/registry.hh"
 
 namespace cbws
 {
@@ -226,13 +225,5 @@ smsParamSchema()
                &SmsParams::storagePatternBits,
                "pattern width in Table III's budget");
 }
-
-CBWS_REGISTER_PREFETCHER(sms, "SMS",
-                         "spatial memory streaming prefetcher",
-                         smsParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<SmsPrefetcher>(
-                                 p.getOr<SmsParams>());
-                         })
 
 } // namespace cbws

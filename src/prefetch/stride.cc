@@ -1,7 +1,5 @@
 #include "prefetch/stride.hh"
 
-#include "prefetch/registry.hh"
-
 namespace cbws
 {
 
@@ -91,13 +89,5 @@ strideParamSchema()
         .field("stride-bits", &StrideParams::strideBits,
                "stride field width (storage accounting)");
 }
-
-CBWS_REGISTER_PREFETCHER(stride, "Stride",
-                         "reference-prediction-table stride prefetcher",
-                         strideParamSchema(),
-                         [](const ParamSet &p) {
-                             return std::make_unique<StridePrefetcher>(
-                                 p.getOr<StrideParams>());
-                         })
 
 } // namespace cbws

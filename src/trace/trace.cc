@@ -24,32 +24,9 @@ struct TraceFileHeader
 constexpr char TraceMagic[4] = {'C', 'B', 'T', '1'};
 constexpr char TraceMagic2[4] = {'C', 'B', 'T', '2'};
 
-/** LEB128-style unsigned varint. */
-void
-putVarint(std::FILE *f, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        std::fputc(static_cast<int>((v & 0x7f) | 0x80), f);
-        v >>= 7;
-    }
-    std::fputc(static_cast<int>(v), f);
-}
-
-bool
-getVarint(std::FILE *f, std::uint64_t &v)
-{
-    v = 0;
-    unsigned shift = 0;
-    while (true) {
-        const int c = std::fgetc(f);
-        if (c == EOF || shift >= 64)
-            return false;
-        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return true;
-        shift += 7;
-    }
-}
+/** Smallest CBT2 record: class, taken, 1-byte pc delta, 4 bytes of
+ *  registers and size. */
+constexpr std::uint64_t MinEncodedRecordBytes = 7;
 
 /** Zigzag encoding maps small signed deltas to small varints. */
 std::uint64_t
@@ -64,6 +41,35 @@ unzigzag(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
+}
+
+/**
+ * A record a loader may hand to the replay: a known InstClass and
+ * register indices that are either < NumArchRegs or InvalidReg (the
+ * decode indexes a NumArchRegs-entry table with them).
+ */
+bool
+wellFormed(const TraceRecord &rec)
+{
+    auto reg_ok = [](RegIndex r) {
+        return r < NumArchRegs || r == InvalidReg;
+    };
+    return rec.cls <= InstClass::Nop && reg_ok(rec.src1) &&
+           reg_ok(rec.src2) && reg_ok(rec.dest);
+}
+
+/** Bytes between @p f's position and its end (0 when unseekable),
+ *  the bound on any record count read from @p f. */
+std::uint64_t
+remainingBytes(std::FILE *f)
+{
+    const long pos = std::ftell(f);
+    if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0)
+        return 0;
+    const long end = std::ftell(f);
+    if (std::fseek(f, pos, SEEK_SET) != 0 || end < pos)
+        return 0;
+    return static_cast<std::uint64_t>(end - pos);
 }
 
 } // anonymous namespace
@@ -146,6 +152,32 @@ Trace::saveTo(const std::string &path) const
 namespace tracecodec
 {
 
+void
+putVarint(std::FILE *f, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        std::fputc(static_cast<int>((v & 0x7f) | 0x80), f);
+        v >>= 7;
+    }
+    std::fputc(static_cast<int>(v), f);
+}
+
+bool
+getVarint(std::FILE *f, std::uint64_t &v)
+{
+    v = 0;
+    unsigned shift = 0;
+    while (true) {
+        const int c = std::fgetc(f);
+        if (c == EOF || shift >= 64)
+            return false;
+        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
+        if (!(c & 0x80))
+            return true;
+        shift += 7;
+    }
+}
+
 bool
 writeBody(std::FILE *f, const std::vector<TraceRecord> &records)
 {
@@ -182,7 +214,8 @@ bool
 readBody(std::FILE *f, std::vector<TraceRecord> &records)
 {
     std::uint64_t count = 0;
-    if (!getVarint(f, count))
+    if (!getVarint(f, count) ||
+        count > remainingBytes(f) / MinEncodedRecordBytes)
         return false;
     records.clear();
     records.reserve(count);
@@ -228,6 +261,8 @@ readBody(std::FILE *f, std::vector<TraceRecord> &records)
                 return false;
             r.blockId = static_cast<BlockId>(v);
         }
+        if (!wellFormed(r))
+            return false;
         records.push_back(r);
     }
     return true;
@@ -281,7 +316,9 @@ Trace::loadFrom(const std::string &path)
         std::memcpy(hdr.magic, magic, sizeof(magic));
         ok = std::fread(&hdr.recordSize,
                         sizeof(hdr) - sizeof(hdr.magic), 1, f) == 1 &&
-             hdr.recordSize == sizeof(TraceRecord);
+             hdr.recordSize == sizeof(TraceRecord) &&
+             hdr.numRecords <= remainingBytes(f) /
+                                   sizeof(TraceRecord);
         if (ok) {
             records_.resize(hdr.numRecords);
             if (hdr.numRecords > 0) {
@@ -289,6 +326,8 @@ Trace::loadFrom(const std::string &path)
                                 records_.size(),
                                 f) == records_.size();
             }
+            for (std::size_t i = 0; ok && i < records_.size(); ++i)
+                ok = wellFormed(records_[i]);
         }
     } else {
         ok = false;

@@ -8,6 +8,7 @@
 #define CBWS_TRACE_TRACE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -30,13 +31,21 @@ struct DecodedTrace;
 namespace tracecodec
 {
 
+/** Append @p v as an LEB128-style unsigned varint. */
+void putVarint(std::FILE *f, std::uint64_t v);
+
+/** Read a varint written by putVarint(); false on EOF or overlong. */
+bool getVarint(std::FILE *f, std::uint64_t &v);
+
 /** Append the record count + encoded records to @p f. */
 bool writeBody(std::FILE *f, const std::vector<TraceRecord> &records);
 
 /**
  * Decode a body written by writeBody() into @p records (replacing
- * its contents). Returns false on EOF/corruption; @p records is then
- * in an unspecified state and the caller must discard it.
+ * its contents). Returns false on EOF/corruption — including a
+ * record count the rest of the file cannot hold, an unknown
+ * InstClass or an out-of-range register; @p records is then in an
+ * unspecified state and the caller must discard it.
  */
 bool readBody(std::FILE *f, std::vector<TraceRecord> &records);
 
@@ -117,8 +126,9 @@ class Trace
     /**
      * Load a trace previously written by saveTo() or
      * saveCompressed() (the magic selects the decoder). IoError when
-     * the file cannot be opened, Corrupt on a bad magic, version or
-     * truncated body; the trace is left empty on failure.
+     * the file cannot be opened, Corrupt on a bad magic, version,
+     * truncated body, impossible record count, unknown InstClass or
+     * out-of-range register; the trace is left empty on failure.
      */
     Result<void> loadFrom(const std::string &path);
 

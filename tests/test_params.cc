@@ -179,11 +179,10 @@ TEST(ParamApi, DescribeRoundTripsForEveryRegisteredScheme)
     // equal the default-parameter build — i.e. describe() tells the
     // truth about keys, types and defaults.
     for (const auto &name : prefetcherRegistry().names()) {
-        const auto keys = prefetcherRegistry().describeParams(name);
         ParamSet params;
-        const ParamSchema schema =
+        const ParamSchema &schema =
             prefetcherRegistry().paramSchema(name);
-        for (const auto &info : keys) {
+        for (const auto &info : schema.keys()) {
             EXPECT_FALSE(info.type.empty()) << name << "." << info.key;
             EXPECT_FALSE(info.help.empty()) << name << "." << info.key;
             Result<void> r =
@@ -210,7 +209,7 @@ TEST(ParamApi, EverySchemeButTheBaselineHasParameters)
 {
     for (const auto &name : prefetcherRegistry().names()) {
         const bool baseline = name == "No-Prefetch";
-        EXPECT_EQ(prefetcherRegistry().describeParams(name).empty(),
+        EXPECT_EQ(prefetcherRegistry().paramSchema(name).empty(),
                   baseline)
             << name;
     }

@@ -28,7 +28,7 @@ namespace
 
 TEST(PrefetcherRegistry, EveryKindRoundTripsThroughTheRegistry)
 {
-    for (const std::string &name : extendedSchemeNames()) {
+    for (const std::string &name : zooSchemeNames()) {
         ASSERT_TRUE(prefetcherRegistry().contains(name)) << name;
 
         SystemConfig config;
@@ -177,44 +177,6 @@ TEST(PrefetcherRegistry, ParamsReachTheFactory)
         EXPECT_EQ(composite->cbws().storageBits(), bits) << c.key;
         EXPECT_TRUE(composite->cbws().params() == expected) << c.key;
     }
-}
-
-TEST(PrefetcherRegistry, DuplicateRegistrationWarnsWhenNotStrict)
-{
-    // In warn mode the first registration wins; a duplicate add()
-    // reports failure and leaves the original factory in place.
-    const bool was_strict =
-        prefetcherRegistry().setStrictDuplicates(false);
-    const bool added = prefetcherRegistry().add(
-        "Stride", "impostor",
-        [](const ParamSet &) -> std::unique_ptr<Prefetcher> {
-            return nullptr;
-        });
-    prefetcherRegistry().setStrictDuplicates(was_strict);
-    EXPECT_FALSE(added);
-    auto r = prefetcherRegistry().create("Stride");
-    ASSERT_TRUE(r.ok());
-    EXPECT_NE(r.value(), nullptr) << "original factory must survive";
-    EXPECT_NE(prefetcherRegistry().describe("Stride"), "impostor");
-}
-
-using PrefetcherRegistryDeathTest = ::testing::Test;
-
-TEST(PrefetcherRegistryDeathTest, DuplicateRegistrationIsFatalUnderStrict)
-{
-    // A mistyped self-registration shadowing a real scheme is a
-    // build bug, not a runtime condition: strict mode (the tests'
-    // default via CBWS_STRICT_REGISTRY=1) makes it fatal.
-    EXPECT_DEATH(
-        {
-            prefetcherRegistry().setStrictDuplicates(true);
-            prefetcherRegistry().add(
-                "Stride", "impostor",
-                [](const ParamSet &) -> std::unique_ptr<Prefetcher> {
-                    return nullptr;
-                });
-        },
-        "duplicate registration");
 }
 
 } // anonymous namespace

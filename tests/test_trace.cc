@@ -199,6 +199,79 @@ TEST(TraceFile, CorruptMagicRejected)
     std::remove(path.c_str());
 }
 
+/** Save @p rec as a one-record trace (CBT2 when @p compressed, else
+ *  CBT1) and load it back; the loader must reject it as Corrupt. */
+void
+expectCorruptRecordRejected(const TraceRecord &rec, bool compressed)
+{
+    const std::string path = testing::TempDir() + "cbws_trace_rec.bin";
+    Trace bad;
+    bad.append(rec);
+    ASSERT_TRUE(compressed ? bad.saveCompressed(path)
+                           : bad.saveTo(path));
+    Trace t;
+    const Result<void> r = t.loadFrom(path);
+    EXPECT_EQ(r.code(), Errc::Corrupt);
+    EXPECT_TRUE(t.empty());
+    std::remove(path.c_str());
+}
+
+/** Write @p header raw plus a little padding; loading it must fail
+ *  Corrupt (not throw on an impossible record count). */
+void
+expectCorruptHeaderRejected(const std::string &header)
+{
+    const std::string path = testing::TempDir() + "cbws_trace_hdr.bin";
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(header.data(), 1, header.size(), f);
+    std::fwrite("\0\0\0\0\0\0\0\0", 1, 8, f);
+    std::fclose(f);
+    Trace t;
+    const Result<void> r = t.loadFrom(path);
+    EXPECT_EQ(r.code(), Errc::Corrupt);
+    EXPECT_TRUE(t.empty());
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, Cbt2OutOfRangeRegisterRejected)
+{
+    expectCorruptRecordRejected(TraceRecord::alu(0x400, 200), true);
+}
+
+TEST(TraceFile, Cbt1OutOfRangeRegisterRejected)
+{
+    expectCorruptRecordRejected(TraceRecord::alu(0x400, 200), false);
+}
+
+TEST(TraceFile, UnknownInstClassRejected)
+{
+    TraceRecord rec = TraceRecord::alu(0x400, 3);
+    rec.cls = static_cast<InstClass>(
+        static_cast<std::uint8_t>(InstClass::Nop) + 1);
+    expectCorruptRecordRejected(rec, true);
+    expectCorruptRecordRejected(rec, false);
+}
+
+TEST(TraceFile, Cbt2ImpossibleRecordCountRejected)
+{
+    // 2^62 as a varint: eight 0x80 continuation bytes, then 0x40.
+    expectCorruptHeaderRejected(
+        std::string("CBT2") + std::string(8, '\x80') + "\x40");
+}
+
+TEST(TraceFile, Cbt1ImpossibleRecordCountRejected)
+{
+    std::string header("CBT1");
+    const std::uint32_t rec_size = sizeof(TraceRecord);
+    const std::uint64_t count = std::uint64_t(1) << 61;
+    header.append(reinterpret_cast<const char *>(&rec_size),
+                  sizeof(rec_size));
+    header.append(reinterpret_cast<const char *>(&count),
+                  sizeof(count));
+    expectCorruptHeaderRejected(header);
+}
+
 /** Trace index of the last record before @p i writing @p reg, found
  *  by scanning backward; NoProd for InvalidReg or no writer. */
 std::uint32_t

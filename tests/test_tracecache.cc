@@ -156,6 +156,63 @@ TEST_F(TraceCacheTest, CorruptMagicIsAMiss)
     EXPECT_FALSE(cache.load(key, loaded));
 }
 
+TEST_F(TraceCacheTest, OutOfRangeRegisterIsAMiss)
+{
+    TraceCache cache(dir_);
+    const TraceCache::Key key{"fft-simlarge", 6000, 42};
+    Trace bad = makeTrace();
+    bad.records()[10].dest = 200;
+    ASSERT_TRUE(cache.store(key, bad));
+
+    Trace loaded;
+    EXPECT_EQ(cache.load(key, loaded).code(), Errc::Corrupt);
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST_F(TraceCacheTest, UnknownInstClassIsAMiss)
+{
+    TraceCache cache(dir_);
+    const TraceCache::Key key{"fft-simlarge", 6000, 42};
+    Trace bad = makeTrace();
+    bad.records()[10].cls = static_cast<InstClass>(
+        static_cast<std::uint8_t>(InstClass::Nop) + 1);
+    ASSERT_TRUE(cache.store(key, bad));
+
+    Trace loaded;
+    EXPECT_EQ(cache.load(key, loaded).code(), Errc::Corrupt);
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST_F(TraceCacheTest, ImpossibleRecordCountIsAMiss)
+{
+    TraceCache cache(dir_);
+    const TraceCache::Key key{"fft-simlarge", 6000, 42};
+    const Trace trace = makeTrace();
+    ASSERT_TRUE(cache.store(key, trace));
+    const std::string path = cache.pathFor(key);
+
+    // Rewrite the body's record count (the first bytes after the
+    // header: magic, version, record size, key) as 2^62.
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const long body = 4 + 4 + 4 + 1 + long(key.workload.size()) +
+                      2 /* varint 6000 */ + 1 /* varint 42 */;
+    std::uint64_t count = 0;
+    ASSERT_EQ(std::fseek(f, body, SEEK_SET), 0);
+    ASSERT_TRUE(tracecodec::getVarint(f, count));
+    ASSERT_EQ(count, trace.size()) << "offset must hit the count";
+    ASSERT_EQ(std::fseek(f, body, SEEK_SET), 0);
+    tracecodec::putVarint(f, std::uint64_t(1) << 62);
+    std::fclose(f);
+
+    Trace loaded;
+    EXPECT_EQ(cache.load(key, loaded).code(), Errc::Corrupt);
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(cache.misses(), 1u);
+}
+
 TEST_F(TraceCacheTest, StoreThenLoadOverwrites)
 {
     TraceCache cache(dir_);

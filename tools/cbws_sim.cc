@@ -64,7 +64,7 @@ listSchemes()
     std::printf("\nparameters (override with --pf-opt key=value, "
                 "repeatable):\n");
     for (const auto &name : prefetcherRegistry().names()) {
-        const auto keys = prefetcherRegistry().describeParams(name);
+        const auto &keys = prefetcherRegistry().paramSchema(name).keys();
         if (keys.empty()) {
             std::printf("\n%s: no tunable parameters\n",
                         name.c_str());
