@@ -86,13 +86,59 @@ describe(Phase phase)
     }
 }
 
+namespace
+{
+
+/** One row per work counter: key, member, what it counts. */
+struct WorkField
+{
+    const char *name;
+    std::uint64_t WorkCounters::*member;
+    const char *covers;
+};
+
+constexpr WorkField workFields[] = {
+    {"stepped_cycles", &WorkCounters::steppedCycles,
+     "core cycles stepped (fast-forwarded ones excluded)"},
+    {"issue_candidates", &WorkCounters::issueCandidates,
+     "issue-window entries the issue scan examined"},
+    {"producer_checks", &WorkCounters::producerChecks,
+     "operand-producer lookups"},
+    {"store_fwd_walk_steps", &WorkCounters::storeFwdWalkSteps,
+     "ROB entries visited looking for a forwarding store"},
+    {"mshr_retries", &WorkCounters::mshrRetries,
+     "loads refused by a full L1 MSHR file, retried"},
+};
+
+double
+perInst(const WorkCounters &work, std::uint64_t count)
+{
+    return work.committed ? static_cast<double>(count) /
+                                static_cast<double>(work.committed)
+                          : 0.0;
+}
+
+} // anonymous namespace
+
 namespace detail
 {
 
 bool enabledFlag = false;
+const std::uint64_t *testClockNs = nullptr;
 
 namespace
 {
+
+/** Wall clock of the calibration window (honours the test seam). */
+std::chrono::steady_clock::time_point
+wallNow()
+{
+    if (testClockNs) {
+        return std::chrono::steady_clock::time_point(
+            std::chrono::nanoseconds(*testClockNs));
+    }
+    return std::chrono::steady_clock::now();
+}
 
 /** Registry of every thread's slab; slabs outlive their threads. */
 struct Global
@@ -167,7 +213,7 @@ enable()
     if (detail::enabledFlag)
         return;
     g.t0Tsc = detail::readTsc();
-    g.t0Wall = std::chrono::steady_clock::now();
+    g.t0Wall = detail::wallNow();
     g.cpu0 = detail::processCpuSeconds();
     detail::enabledFlag = true;
     // Anchor the enabling thread so its first phase delta starts at
@@ -194,6 +240,7 @@ resetForTest()
     detail::Global &g = detail::global();
     std::lock_guard<std::mutex> lock(g.mutex);
     detail::enabledFlag = false;
+    detail::testClockNs = nullptr;
     for (auto &s : g.slabs)
         *s = detail::ThreadSlab();
     g.workers.clear();
@@ -201,6 +248,12 @@ resetForTest()
     g.jobMicros = Histogram(64, 50.0);
     g.t0Tsc = 0;
     g.cpu0 = 0.0;
+}
+
+void
+setTestClock(const std::uint64_t *ns)
+{
+    detail::testClockNs = ns;
 }
 
 void
@@ -231,7 +284,7 @@ report()
         return rep;
 
     const std::uint64_t now_tsc = detail::readTsc();
-    const auto now_wall = std::chrono::steady_clock::now();
+    const auto now_wall = detail::wallNow();
     rep.wallSeconds =
         std::chrono::duration<double>(now_wall - g.t0Wall).count();
     rep.cpuSeconds = detail::processCpuSeconds() - g.cpu0;
@@ -268,6 +321,7 @@ report()
             rep.phaseEntries[p] += s->entries[p];
             thread_total += sec;
         }
+        rep.work += s->work;
         if (s.get() == mine)
             rep.mainThreadSeconds += thread_total;
         else
@@ -338,6 +392,22 @@ renderTable(const Report &rep)
                           rep.jobMicros.overflow()));
         out += line;
     }
+
+    if (rep.work.committed > 0) {
+        TextTable w;
+        w.header({"core work", "total", "per inst", "counts"});
+        for (const WorkField &f : workFields) {
+            const std::uint64_t v = rep.work.*f.member;
+            w.row({f.name, std::to_string(v),
+                   TextTable::num(perInst(rep.work, v), 3), f.covers});
+        }
+        out += "\n" + w.render();
+        std::snprintf(line, sizeof(line),
+                      "committed instructions: %llu\n",
+                      static_cast<unsigned long long>(
+                          rep.work.committed));
+        out += line;
+    }
     return out;
 }
 
@@ -392,6 +462,19 @@ writeJson(JsonWriter &w, const Report &rep)
     w.field("overflow", rep.jobMicros.overflow());
     w.field("total", rep.jobMicros.total());
     w.endObject();
+    w.endObject();
+
+    w.key("work");
+    w.beginObject();
+    w.field("committed", rep.work.committed);
+    for (const WorkField &f : workFields) {
+        const std::uint64_t v = rep.work.*f.member;
+        w.key(f.name);
+        w.beginObject();
+        w.field("total", v);
+        w.field("per_inst", perInst(rep.work, v));
+        w.endObject();
+    }
     w.endObject();
 
     w.endObject();

@@ -77,10 +77,55 @@ const char *toString(Phase phase);
 /** One-line human description of what a phase covers. */
 const char *describe(Phase phase);
 
+/**
+ * Deterministic host-work counters of the OoO core's cycle loop: how
+ * much scheduling work the replay did, as opposed to how long it
+ * took. They are exact for a given trace, configuration and seed
+ * (no clock is read), so a speed change can show its mechanism
+ * without wall-clock noise. Each core counts into plain members and
+ * folds them in once per run (addWork); they never reach CoreStats
+ * or SimResult, so no simulated output can move.
+ */
+struct WorkCounters
+{
+    /** Committed instructions (warmup included). */
+    std::uint64_t committed = 0;
+    /** Cycles a core stepped (fast-forwarded ones excluded). */
+    std::uint64_t steppedCycles = 0;
+    /** Window entries the issue scan examined. */
+    std::uint64_t issueCandidates = 0;
+    /** Operand-producer lookups. */
+    std::uint64_t producerChecks = 0;
+    /** Older ROB entries visited looking for a forwarding store. */
+    std::uint64_t storeFwdWalkSteps = 0;
+    /** Loads refused by a full L1 MSHR file, retried next cycle. */
+    std::uint64_t mshrRetries = 0;
+
+    WorkCounters &
+    operator+=(const WorkCounters &o)
+    {
+        committed += o.committed;
+        steppedCycles += o.steppedCycles;
+        issueCandidates += o.issueCandidates;
+        producerChecks += o.producerChecks;
+        storeFwdWalkSteps += o.storeFwdWalkSteps;
+        mshrRetries += o.mshrRetries;
+        return *this;
+    }
+};
+
 namespace detail
 {
 
 extern bool enabledFlag;
+
+/**
+ * Test-only clock seam: while non-null, every profiler clock (the
+ * tick counter and the wall-clock calibration epoch) reads this
+ * nanosecond count instead of the hardware, so tests can assert
+ * attribution exactly. Consulted only on the enabled path.
+ */
+extern const std::uint64_t *testClockNs;
 
 /** This thread's accumulator slab (created on first use). */
 struct ThreadSlab
@@ -104,6 +149,7 @@ struct ThreadSlab
     std::array<Phase, 64> stack;
     unsigned depth = 0;
     bool worker = false; ///< slab belongs to a pool worker thread
+    WorkCounters work;
 };
 
 /** Cached pointer to this thread's slab (set by slabSlow()). */
@@ -127,6 +173,8 @@ slab()
 inline std::uint64_t
 readTsc()
 {
+    if (testClockNs) [[unlikely]]
+        return *testClockNs;
 #if defined(__x86_64__) || defined(__i386__)
     return __rdtsc();
 #else
@@ -197,6 +245,22 @@ void enableFromEnv();
  * thread-safe — call only with no worker threads running.
  */
 void resetForTest();
+
+/**
+ * Test-only: drive the profiler's clocks from @p ns (a nanosecond
+ * count the test advances by hand); nullptr restores the hardware
+ * clocks. Set it before enable() so the epoch is read from it too.
+ */
+void setTestClock(const std::uint64_t *ns);
+
+/** Fold one core run's work counters into this thread's totals
+ *  (no-op while profiling is off). */
+inline void
+addWork(const WorkCounters &work)
+{
+    if (enabled())
+        detail::slab().work += work;
+}
 
 /**
  * RAII phase marker. Disabled cost: one branch. Scopes nest; time
@@ -326,6 +390,8 @@ struct Report
     std::uint64_t poolsObserved = 0;
     /** Pool job durations, microseconds (64 x 50us buckets). */
     Histogram jobMicros{64, 50.0};
+    /** Core work counters summed over every thread. */
+    WorkCounters work;
     bool enabled = false;
 };
 

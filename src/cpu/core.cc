@@ -62,14 +62,14 @@ OooCore::pushEvent(Cycle at)
 }
 
 std::size_t
-OooCore::appendUnissued(std::size_t begin, std::size_t len,
-                        std::size_t n)
+OooCore::appendCandidates(std::size_t begin, std::size_t len,
+                          std::size_t n)
 {
     std::uint32_t *out = scanBuf_.data();
     const std::size_t end = begin + len;
     std::size_t w = begin >> 6;
-    std::uint64_t word =
-        unissued_[w] & (~std::uint64_t(0) << (begin & 63));
+    std::uint64_t word = (unissued_[w] & ~waiting_[w]) &
+                         (~std::uint64_t(0) << (begin & 63));
     for (;;) {
         const std::size_t base = w << 6;
         std::uint64_t m = word;
@@ -82,9 +82,76 @@ OooCore::appendUnissued(std::size_t begin, std::size_t len,
         }
         if (base + 64 >= end)
             break;
-        word = unissued_[++w];
+        ++w;
+        word = unissued_[w] & ~waiting_[w];
     }
     return n;
+}
+
+void
+OooCore::linkProducers(std::size_t phys, std::uint32_t idx)
+{
+    // Rename result precomputed by the SoA decode (the producer's
+    // trace index is its sequence number; DecodedTrace::NoProd and
+    // NoProducer are the same sentinel).
+    Cycle ready = 0;
+    std::uint8_t pending = 0;
+    const std::uint32_t srcs[2] = {decoded_->src1Prod[idx],
+                                   decoded_->src2Prod[idx]};
+    for (std::uint32_t op = 0; op < 2; ++op) {
+        const std::uint32_t seq = srcs[op];
+        if (seq == NoProducer || seq < headSeq_)
+            continue; // architectural or committed: ready
+        ++work_.producerChecks;
+        const std::size_t pp =
+            physIndex(static_cast<std::size_t>(seq - headSeq_));
+        if (isUnissued(pp)) {
+            const std::uint32_t link =
+                static_cast<std::uint32_t>(phys * 2 + op);
+            depNext_[link] = depHead_[pp];
+            depHead_[pp] = link;
+            ++pending;
+        } else if (readyAt_[pp] > ready) {
+            ready = readyAt_[pp];
+        }
+    }
+    opReady_[phys] = ready;
+    pending_[phys] = pending;
+    if (pending)
+        setBit(waiting_, phys);
+}
+
+std::uint32_t
+OooCore::findForwardingStore(std::size_t offset, LineAddr line)
+{
+    if (!storeLineFilter_[storeFilterBucket(line)])
+        return NoProducer;
+    const std::size_t rob_size = params_.robSize;
+    std::size_t jp = physIndex(offset);
+    for (std::size_t j = offset; j-- > 0;) {
+        jp = (jp == 0 ? rob_size : jp) - 1;
+        ++work_.storeFwdWalkSteps;
+        const std::uint32_t idx = rob_[jp].idx;
+        if (records_[idx].cls == InstClass::Store &&
+            decoded_->effLine[idx] == line) {
+            return idx;
+        }
+    }
+    return NoProducer;
+}
+
+void
+OooCore::wakeDependents(std::size_t p)
+{
+    const Cycle ready = readyAt_[p];
+    for (std::uint32_t l = depHead_[p]; l != NoLink; l = depNext_[l]) {
+        const std::size_t c = l >> 1;
+        if (opReady_[c] < ready)
+            opReady_[c] = ready;
+        if (--pending_[c] == 0)
+            clearBit(waiting_, c);
+    }
+    depHead_[p] = NoLink;
 }
 
 void
@@ -110,9 +177,14 @@ OooCore::begin(const Trace &trace, std::uint64_t max_insts,
     endCycle_ = 0;
     rob_.assign(params_.robSize, RobEntry());
     readyAt_.assign(params_.robSize, 0);
-    earliestIssue_.assign(params_.robSize, 0);
+    opReady_.assign(params_.robSize, 0);
     unissued_.assign((params_.robSize + 63) / 64, 0);
+    waiting_.assign((params_.robSize + 63) / 64, 0);
+    pending_.assign(params_.robSize, 0);
+    depHead_.assign(params_.robSize, NoLink);
+    depNext_.assign(params_.robSize * 2, NoLink);
     scanBuf_.assign(params_.robSize, 0);
+    work_ = prof::WorkCounters();
     robHead_ = 0;
     robCount_ = 0;
     fetchQueue_.assign(params_.fetchQueueSize, FetchEntry());
@@ -202,96 +274,44 @@ OooCore::issueStage(Cycle now)
     }
     if (firstUnissued_ >= robCount_)
         return 0;
-    // Collect the window's unissued slots in age order (up to two
-    // linear bitmask segments around the ring's wrap point); the scan
-    // then touches only real candidates, and blocked ones cost a
-    // single earliestIssue_ compare.
+    // Collect the window's issue candidates in age order (up to two
+    // linear bitmask segments around the ring's wrap point). Entries
+    // still waiting on an unissued producer are left out: a producer
+    // issuing later in this scan completes no earlier than now + 1,
+    // so none of them could issue this cycle anyway.
     const std::size_t scan_len = std::min<std::size_t>(
         robCount_ - firstUnissued_, params_.issueWindow);
     const std::size_t phys_start = physIndex(firstUnissued_);
     const std::size_t seg = std::min(scan_len, rob_size - phys_start);
-    std::size_t num_cand = appendUnissued(phys_start, seg, 0);
+    std::size_t num_cand = appendCandidates(phys_start, seg, 0);
     if (seg < scan_len)
-        num_cand = appendUnissued(0, scan_len - seg, num_cand);
+        num_cand = appendCandidates(0, scan_len - seg, num_cand);
 
     for (std::size_t c = 0; c < num_cand; ++c) {
         const std::uint32_t p = scanBuf_[c];
         if (fu_used >= params_.numFUs)
             break;
-        if (earliestIssue_[p] > now)
-            continue; // known-blocked until then; one compare
+        ++work_.issueCandidates;
+        if (opReady_[p] > now)
+            continue; // an operand is still in flight
         RobEntry &e = rob_[p];
-        {
-            // Dependence check; on failure remember the soundest
-            // wake-up bound the issued producers imply.
-            Cycle bound = 0;
-            bool blocked = false;
-            for (const std::uint32_t seq : {e.src1Seq, e.src2Seq}) {
-                if (seq == NoProducer || seq < headSeq_)
-                    continue;
-                std::size_t pp = robHead_ +
-                    static_cast<std::size_t>(seq - headSeq_);
-                if (pp >= rob_size)
-                    pp -= rob_size;
-                if (isUnissued(pp)) {
-                    blocked = true;
-                    // The producer's own issue bound propagates: it
-                    // cannot complete before issuing (>= 1 cycle
-                    // latency), so this entry cannot issue before
-                    // bound+1. earliestIssue_ values are sound lower
-                    // bounds by induction, and a stale (low) bound
-                    // only costs an extra re-check.
-                    if (earliestIssue_[pp] + 1 > bound)
-                        bound = earliestIssue_[pp] + 1;
-                } else if (readyAt_[pp] > now) {
-                    blocked = true;
-                    if (readyAt_[pp] > bound)
-                        bound = readyAt_[pp];
-                }
-            }
-            if (blocked) {
-                earliestIssue_[p] = bound;
-                continue;
-            }
-        }
-
         const TraceRecord &rec = records_[e.idx];
         if (rec.cls == InstClass::Load) {
             if (mem_ports_used >= params_.memPortsPerCycle)
                 continue;
-            // Store-to-load forwarding: an older, uncommitted store
-            // to the same line supplies the data. The backward ROB
-            // scan only runs when the line counter says some
-            // in-flight store touches this line.
-            bool forwarded = false;
-            bool wait_for_store = false;
-            Cycle fwd_ready = 0;
-            const LineAddr line = decoded_->effLine[e.idx];
-            if (storeLineFilter_[storeFilterBucket(line)]) {
-                std::size_t jp = p;
-                const std::size_t i = p >= robHead_
-                    ? p - robHead_
-                    : p + rob_size - robHead_;
-                for (std::size_t j = i; j-- > 0;) {
-                    jp = (jp == 0 ? rob_size : jp) - 1;
-                    const RobEntry &older = rob_[jp];
-                    const TraceRecord &orec = records_[older.idx];
-                    if (orec.cls != InstClass::Store ||
-                        lineOf(orec.effAddr) != line) {
-                        continue;
-                    }
-                    if (isUnissued(jp)) {
-                        wait_for_store = true;
-                    } else {
-                        forwarded = true;
-                        fwd_ready = std::max(now, readyAt_[jp]) + 1;
-                    }
-                    break;
-                }
-            }
-            if (wait_for_store)
-                continue;
-            if (forwarded) {
+            // Store-to-load forwarding: the nearest older in-flight
+            // store to the same line, found at dispatch, supplies the
+            // data while it is uncommitted. It may issue earlier in
+            // this very scan (then the data is ready a cycle after
+            // the store's), so loads waiting on a store are never
+            // parked: the O(1) check below decides each cycle.
+            const std::uint32_t store = e.fwdStoreSeq;
+            if (store != NoProducer && store >= headSeq_) {
+                const std::size_t sp = physIndex(
+                    static_cast<std::size_t>(store - headSeq_));
+                if (isUnissued(sp))
+                    continue; // the store's data is not ready yet
+                const Cycle fwd_ready = std::max(now, readyAt_[sp]) + 1;
                 e.mem.ok = true;
                 e.mem.l1Hit = true;
                 e.mem.readyAt = fwd_ready;
@@ -299,8 +319,13 @@ OooCore::issueStage(Cycle now)
             } else {
                 AccessOutcome out =
                     mem_.load(rec.effAddr, now, coreId_);
-                if (!out.ok)
-                    continue; // MSHR back-pressure: retry next cycle
+                if (!out.ok) {
+                    // MSHR back-pressure: retry next cycle (each
+                    // retry is a real hierarchy call — it counts an
+                    // MSHR stall and renews the prefetch budget).
+                    ++work_.mshrRetries;
+                    continue;
+                }
                 e.mem = out;
                 readyAt_[p] = out.readyAt;
                 if (onAccess_)
@@ -328,7 +353,8 @@ OooCore::issueStage(Cycle now)
         } else {
             readyAt_[p] = now + execLatency(params_, rec.cls);
         }
-        clearUnissued(p);
+        clearBit(unissued_, p);
+        wakeDependents(p);
         ++fu_used;
         // Completions due in <= 1 cycle are never queried from the
         // future (issuing counts as progress, so no skip starts this
@@ -375,20 +401,18 @@ OooCore::dispatchStage(Cycle now)
         slot.idx = fe.idx;
         slot.mispredicted = fe.mispredicted;
         slot.inBlock = fe.inBlock;
-        earliestIssue_[phys] = 0;
-        // Rename result precomputed by the SoA decode (the
-        // producer's trace index is its sequence number;
-        // DecodedTrace::NoProd and NoProducer are the same sentinel,
-        // so the values copy straight through).
-        slot.src1Seq = decoded_->src1Prod[fe.idx];
-        slot.src2Seq = decoded_->src2Prod[fe.idx];
         if (isBlockMarker(rec.cls) || rec.cls == InstClass::Nop) {
             // Markers are architectural no-ops: complete immediately
             // without consuming a functional unit (the unissued bit
             // is never set, so the scan skips them for free).
             readyAt_[phys] = now;
         } else {
-            setUnissued(phys);
+            linkProducers(phys, fe.idx);
+            if (rec.cls == InstClass::Load) {
+                slot.fwdStoreSeq = findForwardingStore(
+                    robCount_, decoded_->effLine[fe.idx]);
+            }
+            setBit(unissued_, phys);
         }
         ++robCount_;
         if (++fqHead_ == fetchQueue_.size())
@@ -462,6 +486,7 @@ OooCore::fetchStage(Cycle now)
 bool
 OooCore::step(Cycle now)
 {
+    ++work_.steppedCycles;
     const std::uint64_t rob_stalls0 = stats_.robFullStalls;
     const std::uint64_t lsq_stalls0 = stats_.lsqFullStalls;
     const unsigned committed = commitStage(now);
@@ -533,6 +558,8 @@ OooCore::addSkippedCycles(Cycle skipped)
 CoreStats
 OooCore::finish()
 {
+    work_.committed = stats_.instructions;
+    prof::addWork(work_);
     stats_.cycles = endCycle_;
     if (warmupInsts_ > 0 && warmed_) {
         stats_.cycles -= warmSnapshot_.cycles;

@@ -34,6 +34,11 @@
  *  - Replay reads the trace's SoA pre-decode (trace/decoded.hh):
  *    dispatch takes precomputed source producers and block
  *    membership instead of re-deriving them.
+ *  - Issue is wake-up driven: dispatch links each operand to its
+ *    unissued producer and each load to its forwarding store, so the
+ *    issue scan examines only entries whose producers have all
+ *    issued and decides each with one compare (no producer walk, no
+ *    backward store search).
  *  - Issued completion times feed a min-heap so nextLocalEvent() is
  *    O(log n) instead of an O(ROB) scan per idle query.
  *  - All ring-buffer walks use wrap-around index arithmetic; the
@@ -49,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "base/profiler.hh"
 #include "cpu/branch_pred.hh"
 #include "mem/hierarchy.hh"
 #include "trace/decoded.hh"
@@ -252,15 +258,13 @@ class OooCore
     struct RobEntry
     {
         AccessOutcome mem;
-        /** Sequence numbers (== trace indices, which fit 32 bits by
-         *  construction of FetchEntry::idx) of the in-flight
-         *  producers of the two source operands (NoProducer when the
-         *  value is already architectural), copied from the SoA
-         *  decode at dispatch — this is register renaming, so
-         *  WAR/WAW reuse of an architectural register never
-         *  stalls. */
-        std::uint32_t src1Seq = ~std::uint32_t(0);
-        std::uint32_t src2Seq = ~std::uint32_t(0);
+        /** Loads only: sequence number (== trace index) of the
+         *  nearest older store to the same line that was in flight
+         *  at dispatch, or NoProducer. Every store older than the
+         *  load dispatched before it and commit is in order, so
+         *  while that store is uncommitted it is still the nearest
+         *  such store, and once it commits none is left. */
+        std::uint32_t fwdStoreSeq = ~std::uint32_t(0);
         std::uint32_t idx = 0; ///< trace index == sequence number
         bool mispredicted = false;
         bool inBlock = false; ///< fetched inside an annotated block
@@ -276,6 +280,7 @@ class OooCore
 
     static constexpr Cycle Never = ~Cycle(0);
     static constexpr std::uint32_t NoProducer = ~std::uint32_t(0);
+    static constexpr std::uint32_t NoLink = ~std::uint32_t(0);
 
     /** Physical ROB slot of the entry at logical @p offset from the
      *  head. Valid for offset <= robSize (single conditional wrap,
@@ -294,31 +299,45 @@ class OooCore
     void pushEvent(Cycle at);
 
     /**
-     * @name Unissued-slot bitmask
-     * One bit per physical ROB slot, set from dispatch until issue
-     * (markers never set it; unoccupied slots are clear). The issue
-     * scan walks set bits instead of touching every RobEntry, and a
-     * producer's "already issued?" test is one bit probe.
+     * @name Slot bitmasks
+     * One bit per physical ROB slot. unissued_ is set from dispatch
+     * until issue (markers never set it; unoccupied slots are
+     * clear), so a producer's "already issued?" test is one bit
+     * probe. waiting_ is set while the slot still has a producer
+     * that has not issued. The issue scan walks the bits of
+     * unissued_ & ~waiting_ instead of touching every RobEntry.
      */
     ///@{
-    void setUnissued(std::size_t p)
+    static void setBit(std::vector<std::uint64_t> &m, std::size_t p)
     {
-        unissued_[p >> 6] |= std::uint64_t(1) << (p & 63);
+        m[p >> 6] |= std::uint64_t(1) << (p & 63);
     }
-    void clearUnissued(std::size_t p)
+    static void clearBit(std::vector<std::uint64_t> &m, std::size_t p)
     {
-        unissued_[p >> 6] &= ~(std::uint64_t(1) << (p & 63));
+        m[p >> 6] &= ~(std::uint64_t(1) << (p & 63));
     }
     bool isUnissued(std::size_t p) const
     {
         return (unissued_[p >> 6] >> (p & 63)) & 1;
     }
-    /** Write the physical indices of set bits in [begin, begin+len)
-     *  (no wrap) to scanBuf_ starting at @p n; returns the new
-     *  count. */
-    std::size_t appendUnissued(std::size_t begin, std::size_t len,
-                               std::size_t n);
+    /** Write the physical indices of issue candidates (unissued, not
+     *  waiting) in [begin, begin+len) (no wrap) to scanBuf_ starting
+     *  at @p n; returns the new count. */
+    std::size_t appendCandidates(std::size_t begin, std::size_t len,
+                                 std::size_t n);
     ///@}
+
+    /** Link the operands of the instruction just placed in slot
+     *  @p phys to their producers (waiting_/pending_/opReady_). */
+    void linkProducers(std::size_t phys, std::uint32_t idx);
+
+    /** Nearest older in-flight store to @p line from ROB offset
+     *  @p offset, as a sequence number (NoProducer when none). */
+    std::uint32_t findForwardingStore(std::size_t offset,
+                                      LineAddr line);
+
+    /** Slot @p p just issued: wake its dependents. */
+    void wakeDependents(std::size_t p);
 
     unsigned commitStage(Cycle now);
     unsigned issueStage(Cycle now);
@@ -359,19 +378,31 @@ class OooCore
     std::size_t robHead_ = 0;
     std::size_t robCount_ = 0;
     /** Per-slot completion cycle (valid once the slot issued) and
-     *  issue lower bound, split out of RobEntry so the per-cycle
+     *  operand-ready cycle, split out of RobEntry so the per-cycle
      *  issue scan touches dense arrays instead of scattered structs.
-     *  earliestIssue_ is the max readyAt over the slot's
-     *  already-issued producers, captured the last time the scan
-     *  found it blocked; an issued producer's readyAt never changes,
-     *  so skipping the full dependence check until that cycle cannot
-     *  delay an issue. 0 = no bound. */
+     *  opReady_ is the max readyAt over the slot's producers, raised
+     *  at dispatch for producers that already issued and at wake-up
+     *  for the rest; once the slot stops waiting, it is ready to
+     *  issue exactly when opReady_ <= now. An issued producer's
+     *  readyAt never changes, so the bound is exact. */
     std::vector<Cycle> readyAt_;
-    std::vector<Cycle> earliestIssue_;
-    /** One bit per slot: dispatched but not yet issued. */
+    std::vector<Cycle> opReady_;
     std::vector<std::uint64_t> unissued_;
+    std::vector<std::uint64_t> waiting_;
+    /** Producers of the slot that have not issued yet (0..2). */
+    std::vector<std::uint8_t> pending_;
+    /**
+     * Wake-up lists: depHead_[p] is the first link of the consumers
+     * waiting on slot p; link l names operand (l & 1) of consumer
+     * slot (l >> 1), and depNext_[l] the next link (NoLink ends the
+     * list). A list is consumed when its producer issues.
+     */
+    std::vector<std::uint32_t> depHead_;
+    std::vector<std::uint32_t> depNext_;
     /** Scratch list of candidate slots for the current issue scan. */
     std::vector<std::uint32_t> scanBuf_;
+    /** Host-work counters of this run (prof::addWork at finish()). */
+    prof::WorkCounters work_;
     /** Fetch queue as a fixed ring (fetchQueueSize entries). */
     std::vector<FetchEntry> fetchQueue_;
     std::size_t fqHead_ = 0;
@@ -383,10 +414,10 @@ class OooCore
     unsigned ldqCount_ = 0;
     unsigned stqCount_ = 0;
     /** Counting filter over the lines of in-flight (dispatched,
-     *  uncommitted) stores: lets the store-to-load forwarding check
-     *  skip its O(ROB) backward scan for the common load with no
-     *  matching store — without changing which loads forward (the
-     *  scan still decides; a bucket collision merely runs a walk
+     *  uncommitted) stores: lets a load's dispatch skip the O(ROB)
+     *  backward walk for its forwarding store in the common case of
+     *  no matching store — without changing which loads forward (the
+     *  walk still decides; a bucket collision merely runs a walk
      *  that finds nothing). Counts cannot saturate: at most stqSize
      *  (32) stores are in flight. */
     static constexpr std::size_t StoreFilterBuckets = 128;

@@ -1,27 +1,11 @@
 #include "mem/mshr.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace cbws
 {
-
-MshrFile::Entry *
-MshrFile::find(LineAddr line)
-{
-    for (auto &e : entries_)
-        if (e.valid && e.line == line)
-            return &e;
-    return nullptr;
-}
-
-const MshrFile::Entry *
-MshrFile::find(LineAddr line) const
-{
-    for (const auto &e : entries_)
-        if (e.valid && e.line == line)
-            return &e;
-    return nullptr;
-}
 
 MshrFile::Entry &
 MshrFile::allocate(LineAddr line, Cycle ready_at, bool is_prefetch,
@@ -30,24 +14,23 @@ MshrFile::allocate(LineAddr line, Cycle ready_at, bool is_prefetch,
     panic_if(find(line) != nullptr,
              "MSHR double-allocation for line %llx",
              static_cast<unsigned long long>(line));
-    for (auto &e : entries_) {
-        if (!e.valid) {
-            e.valid = true;
-            e.line = line;
-            e.readyAt = ready_at;
-            e.isPrefetch = is_prefetch;
-            e.isWrite = is_write;
-            e.demanded = false;
-            e.pfSource = PfSource::Unknown;
-            e.pfId = 0;
-            e.firstDemandAt = 0;
-            ++numValid_;
-            if (ready_at < nextReady_)
-                nextReady_ = ready_at;
-            return e;
-        }
-    }
-    panic("MSHR allocation with a full file");
+    const std::size_t slot = slotOf(NoLine);
+    panic_if(slot == tags_.size(), "MSHR allocation with a full file");
+    tags_[slot] = line;
+    Entry &e = entries_[slot];
+    e.valid = true;
+    e.line = line;
+    e.readyAt = ready_at;
+    e.isPrefetch = is_prefetch;
+    e.isWrite = is_write;
+    e.demanded = false;
+    e.pfSource = PfSource::Unknown;
+    e.pfId = 0;
+    e.firstDemandAt = 0;
+    ++numValid_;
+    if (ready_at < nextReady_)
+        nextReady_ = ready_at;
+    return e;
 }
 
 void
@@ -55,6 +38,7 @@ MshrFile::clear()
 {
     for (auto &e : entries_)
         e.valid = false;
+    std::fill(tags_.begin(), tags_.end(), NoLine);
     numValid_ = 0;
     nextReady_ = NoEvent;
 }

@@ -46,11 +46,24 @@ class MshrFile
         std::uint8_t core = 0;
     };
 
-    explicit MshrFile(unsigned capacity) : entries_(capacity) {}
+    explicit MshrFile(unsigned capacity)
+        : entries_(capacity), tags_(capacity, NoLine)
+    {}
 
-    /** Find the in-flight entry for @p line, if any. */
-    Entry *find(LineAddr line);
-    const Entry *find(LineAddr line) const;
+    /** Find the in-flight entry for @p line, if any. One compare per
+     *  slot over the dense tag array. */
+    Entry *
+    find(LineAddr line)
+    {
+        const std::size_t i = slotOf(line);
+        return i < tags_.size() ? &entries_[i] : nullptr;
+    }
+    const Entry *
+    find(LineAddr line) const
+    {
+        const std::size_t i = slotOf(line);
+        return i < tags_.size() ? &entries_[i] : nullptr;
+    }
 
     /**
      * True when no entry can be allocated. O(1): the valid count is
@@ -90,12 +103,14 @@ class MshrFile
         if (now < nextReady_)
             return;
         Cycle next = NoEvent;
-        for (auto &e : entries_) {
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            Entry &e = entries_[i];
             if (!e.valid)
                 continue;
             if (e.readyAt <= now) {
                 on_fill(static_cast<const Entry &>(e));
                 e.valid = false;
+                tags_[i] = NoLine;
                 --numValid_;
             } else if (e.readyAt < next) {
                 next = e.readyAt;
@@ -117,11 +132,31 @@ class MshrFile
     Cycle nextReady() const { return nextReady_; }
 
   private:
+    /**
+     * Tag sentinel of free slots. Real line addresses are byte
+     * addresses shifted right by LineShift, so ~0 never collides
+     * (the Cache tag array uses the same trick).
+     */
+    static constexpr LineAddr NoLine = ~LineAddr(0);
+    static constexpr Cycle NoEvent = ~Cycle(0);
+
+    /** Slot holding @p line (a free slot for NoLine); the capacity
+     *  when there is none. */
+    std::size_t
+    slotOf(LineAddr line) const
+    {
+        std::size_t i = 0;
+        while (i < tags_.size() && tags_[i] != line)
+            ++i;
+        return i;
+    }
+
     std::vector<Entry> entries_;
+    /** Line of each slot's in-flight entry, NoLine when the slot is
+     *  free: find() scans this dense array instead of the entries. */
+    std::vector<LineAddr> tags_;
     unsigned numValid_ = 0;
     Cycle nextReady_ = NoEvent;
-
-    static constexpr Cycle NoEvent = ~Cycle(0);
 };
 
 } // namespace cbws

@@ -122,5 +122,30 @@ TEST(Mshr, ReuseAfterDrain)
     EXPECT_NE(m.find(2), nullptr);
 }
 
+TEST(Mshr, AllocationTakesTheLowestFreeSlotAndDrainsInSlotOrder)
+{
+    // The hierarchy's fill order (and so its replacement state)
+    // follows slot order: a freed slot is reused before any later
+    // one, and a cleared file forgets every line.
+    MshrFile m(4);
+    m.allocate(10, 50, false, false);
+    m.allocate(11, 30, false, false);
+    m.allocate(12, 40, false, false);
+    m.drain(30, [](const MshrFile::Entry &) {});
+    EXPECT_EQ(m.find(11), nullptr);
+    const MshrFile::Entry &reused = m.allocate(13, 60, false, false);
+    EXPECT_EQ(&reused, &m.entries()[1]);
+    EXPECT_EQ(m.find(13), &m.entries()[1]);
+    std::vector<LineAddr> order;
+    m.drain(60, [&order](const MshrFile::Entry &e) {
+        order.push_back(e.line);
+    });
+    EXPECT_EQ(order, (std::vector<LineAddr>{10, 13, 12}));
+    m.allocate(14, 70, false, false);
+    m.clear();
+    EXPECT_EQ(m.find(14), nullptr);
+    EXPECT_EQ(&m.allocate(14, 80, false, false), &m.entries()[0]);
+}
+
 } // anonymous namespace
 } // namespace cbws

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "base/json.hh"
 #include "base/jsonparse.hh"
 #include "base/profiler.hh"
 #include "base/threadpool.hh"
@@ -182,29 +183,33 @@ TEST_F(ProfilerTest, NestedScopesChargeTheInnerPhaseExclusively)
 
 TEST_F(ProfilerTest, SampledScopesExtrapolateAndStayZeroSum)
 {
-#if CBWS_SANITIZED
-    GTEST_SKIP() << "timing bounds do not hold under sanitizers";
-#endif
+    // A hand-advanced clock drives every profiler clock, so the
+    // attribution is asserted exactly, not within a tolerance.
+    std::uint64_t clock_ns = 1'000'000'000;
+    prof::setTestClock(&clock_ns);
     prof::enable();
     // 64 identical work chunks; with mask 3 only one in four is
     // timed, the rest are merely counted. Inline extrapolation must
-    // still attribute roughly all 64 chunks to the phase, stolen
-    // zero-sum from the enclosing phase (Other here).
+    // still attribute all 64 chunks to the phase, stolen zero-sum
+    // from the enclosing phase (Other here).
     constexpr int kChunks = 64;
-    constexpr double kChunkSec = 0.0005;
+    constexpr std::uint64_t kChunkNs = 500'000;
     for (int i = 0; i < kChunks; ++i) {
         PROF_SCOPE_SAMPLED(prof::Phase::PfObserve, 3);
-        spinFor(kChunkSec);
+        clock_ns += kChunkNs;
     }
     const prof::Report rep = prof::report();
     const unsigned p = static_cast<unsigned>(prof::Phase::PfObserve);
     EXPECT_EQ(rep.phaseEntries[p],
               static_cast<std::uint64_t>(kChunks));
-    const double expect = kChunks * kChunkSec;
-    EXPECT_NEAR(rep.phaseSeconds[p], expect, 0.35 * expect);
-    // Zero-sum: the thread's phases still partition the window.
-    EXPECT_NEAR(rep.mainThreadSeconds, rep.wallSeconds,
-                0.10 * rep.wallSeconds);
+    const double expect = kChunks * (kChunkNs * 1e-9);
+    EXPECT_DOUBLE_EQ(rep.wallSeconds, expect);
+    EXPECT_DOUBLE_EQ(rep.phaseSeconds[p], expect);
+    // Zero-sum: the untimed chunks Other absorbed are taken back in
+    // full, and the thread's phases still partition the window.
+    EXPECT_EQ(rep.phaseSeconds[static_cast<unsigned>(prof::Phase::Other)],
+              0.0);
+    EXPECT_DOUBLE_EQ(rep.mainThreadSeconds, rep.wallSeconds);
 }
 
 TEST_F(ProfilerTest, EnableIsIdempotentAndSticky)
@@ -332,6 +337,59 @@ TEST_F(ProfilerTest, RenderTableSharesAreOfAttributedSeconds)
     EXPECT_EQ(rows, 4u);
     // Each share is rounded to one decimal.
     EXPECT_NEAR(sum, 100.0, 0.05 * rows);
+}
+
+TEST_F(ProfilerTest, CoreWorkCountersAreExactAndReported)
+{
+    // A dependent chain with loads and same-line stores: every work
+    // counter moves, and two identical runs count identical work.
+    Trace trace;
+    for (unsigned i = 0; i < 400; ++i) {
+        const Addr a = 0x1000000 + 64 * (i % 32);
+        trace.append(TraceRecord::store(0x400, a, 1 + i % 4));
+        trace.append(TraceRecord::load(0x404, a + 8, 1 + (i + 1) % 4));
+        trace.append(TraceRecord::alu(0x408, 5, 1 + (i + 1) % 4, 5));
+    }
+    const auto work = [&trace] {
+        prof::resetForTest();
+        prof::enable();
+        simulate(trace, SystemConfig(), trace.size());
+        return prof::report().work;
+    };
+    const prof::WorkCounters a = work();
+    const prof::WorkCounters b = work();
+    EXPECT_EQ(a.committed, trace.size());
+    EXPECT_GT(a.steppedCycles, 0u);
+    EXPECT_GT(a.issueCandidates, 0u);
+    EXPECT_GT(a.producerChecks, 0u);
+    EXPECT_GT(a.storeFwdWalkSteps, 0u);
+    // Producers are looked up once per in-flight operand, at dispatch.
+    EXPECT_LE(a.producerChecks, 2 * a.committed);
+    EXPECT_EQ(a.steppedCycles, b.steppedCycles);
+    EXPECT_EQ(a.issueCandidates, b.issueCandidates);
+    EXPECT_EQ(a.producerChecks, b.producerChecks);
+    EXPECT_EQ(a.storeFwdWalkSteps, b.storeFwdWalkSteps);
+    EXPECT_EQ(a.mshrRetries, b.mshrRetries);
+
+    prof::Report rep = prof::report();
+    const std::string table = prof::renderTable(rep);
+    EXPECT_NE(table.find("issue_candidates"), std::string::npos);
+    EXPECT_NE(table.find("per inst"), std::string::npos);
+    JsonWriter w;
+    prof::writeJson(w, rep);
+    EXPECT_NE(w.str().find("\"work\":{\"committed\":1200"),
+              std::string::npos)
+        << w.str();
+}
+
+TEST_F(ProfilerTest, DisabledProfilerCountsNoWork)
+{
+    Trace trace;
+    for (unsigned i = 0; i < 100; ++i)
+        trace.append(TraceRecord::alu(0x400, 1, 1));
+    simulate(trace, SystemConfig(), trace.size());
+    prof::enable();
+    EXPECT_EQ(prof::report().work.committed, 0u);
 }
 
 TEST_F(ProfilerTest, MultiCoreReplayLoopIsProfiled)
