@@ -561,16 +561,8 @@ OooCore::finish()
     work_.committed = stats_.instructions;
     prof::addWork(work_);
     stats_.cycles = endCycle_;
-    if (warmupInsts_ > 0 && warmed_) {
-        stats_.cycles -= warmSnapshot_.cycles;
-        stats_.instructions -= warmSnapshot_.instructions;
-        stats_.memInstructions -= warmSnapshot_.memInstructions;
-        stats_.branches -= warmSnapshot_.branches;
-        stats_.branchMispredicts -= warmSnapshot_.branchMispredicts;
-        stats_.loopCycles -= warmSnapshot_.loopCycles;
-        stats_.robFullStalls -= warmSnapshot_.robFullStalls;
-        stats_.lsqFullStalls -= warmSnapshot_.lsqFullStalls;
-    }
+    if (warmupInsts_ > 0 && warmed_)
+        subtractCounters(stats_, warmSnapshot_);
     records_ = nullptr;
     traceSize_ = 0;
     decoded_ = nullptr;
@@ -604,7 +596,7 @@ OooCore::runLockstep(Hierarchy &mem, std::span<OooCore> cores,
     Cycle now = 0;
     while (true) {
         mem.tick(now);
-        const std::uint64_t mshr_stalls0 = mem.stats().mshrStalls;
+        const std::uint64_t mshr_stalls0 = mem.mshrStalls();
         bool worked = false;
         for (std::size_t c = 0; c < cores.size(); ++c) {
             OooCore &core = cores[c];
@@ -643,7 +635,7 @@ OooCore::runLockstep(Hierarchy &mem, std::span<OooCore> cores,
                     if (!core.done_)
                         core.addSkippedCycles(skipped);
                 mem.addSkippedMshrStalls(
-                    (mem.stats().mshrStalls - mshr_stalls0) *
+                    (mem.mshrStalls() - mshr_stalls0) *
                     skipped);
                 now += skipped;
             }

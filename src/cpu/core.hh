@@ -48,12 +48,15 @@
 #ifndef CBWS_CPU_CORE_HH
 #define CBWS_CPU_CORE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "base/counters.hh"
 #include "base/profiler.hh"
 #include "cpu/branch_pred.hh"
 #include "mem/hierarchy.hh"
@@ -108,8 +111,32 @@ struct CoreStats
                       : 0.0;
     }
 
+    /** The counters in declaration order (base/counters.hh). */
+    static constexpr auto
+    counters()
+    {
+        using C = CoreStats;
+        return std::array{
+            &C::cycles, &C::instructions, &C::memInstructions,
+            &C::branches, &C::branchMispredicts, &C::loopCycles,
+            &C::robFullStalls, &C::lsqFullStalls,
+        };
+    }
+
+    /** Fold core @p o of a multi-core run into this aggregate: every
+     *  counter sums except cycles, which takes the max (the run lasts
+     *  as long as its slowest core). */
+    void
+    addCore(const CoreStats &o)
+    {
+        const std::uint64_t slowest = std::max(cycles, o.cycles);
+        addCounters(*this, o);
+        cycles = slowest;
+    }
+
     bool operator==(const CoreStats &) const = default;
 };
+static_assert(countersCoverStruct<CoreStats>());
 
 /**
  * The out-of-order core.

@@ -142,14 +142,8 @@ InOrderCore::run(const Trace &trace, std::uint64_t max_insts,
     }
 
     stats.cycles = now;
-    if (warmup_insts > 0 && warmed) {
-        stats.cycles -= warm_snapshot.cycles;
-        stats.instructions -= warm_snapshot.instructions;
-        stats.memInstructions -= warm_snapshot.memInstructions;
-        stats.branches -= warm_snapshot.branches;
-        stats.branchMispredicts -= warm_snapshot.branchMispredicts;
-        stats.loopCycles -= warm_snapshot.loopCycles;
-    }
+    if (warmup_insts > 0 && warmed)
+        subtractCounters(stats, warm_snapshot);
     return stats;
 }
 

@@ -36,12 +36,14 @@
 #ifndef CBWS_MEM_DRAM_BACKEND_HH
 #define CBWS_MEM_DRAM_BACKEND_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/counters.hh"
 #include "base/result.hh"
 #include "base/types.hh"
 
@@ -92,10 +94,6 @@ struct DramStats
     std::uint64_t readQueueDepthSum = 0;
     std::uint64_t writeQueueDepthSum = 0;
 
-    /** Per-bank row-buffer outcomes (empty for flat backends). */
-    std::vector<std::uint64_t> bankRowHits;
-    std::vector<std::uint64_t> bankRowMisses;
-
     /** Row hits per column access ([0,1]; 0 when nothing serviced). */
     double
     rowHitRate() const
@@ -122,29 +120,24 @@ struct DramStats
                       : 0.0;
     }
 
-    /** Exact equality (determinism assertions in tests). */
-    bool
-    operator==(const DramStats &o) const
+    /** The counters in declaration order (base/counters.hh). */
+    static constexpr auto
+    counters()
     {
-        return reads == o.reads && writes == o.writes &&
-               rowHits == o.rowHits && rowMisses == o.rowMisses &&
-               rowClosed == o.rowClosed &&
-               activates == o.activates &&
-               fawStalls == o.fawStalls &&
-               refreshStalls == o.refreshStalls &&
-               prefetchesDeferred == o.prefetchesDeferred &&
-               deferralCycles == o.deferralCycles &&
-               readQueueFullStalls == o.readQueueFullStalls &&
-               writeDrains == o.writeDrains &&
-               busBusyCycles == o.busBusyCycles &&
-               readQueueDepthSum == o.readQueueDepthSum &&
-               writeQueueDepthSum == o.writeQueueDepthSum &&
-               bankRowHits == o.bankRowHits &&
-               bankRowMisses == o.bankRowMisses;
+        using D = DramStats;
+        return std::array{
+            &D::reads, &D::writes, &D::rowHits, &D::rowMisses,
+            &D::rowClosed, &D::activates, &D::fawStalls,
+            &D::refreshStalls, &D::prefetchesDeferred,
+            &D::deferralCycles, &D::readQueueFullStalls,
+            &D::writeDrains, &D::busBusyCycles, &D::readQueueDepthSum,
+            &D::writeQueueDepthSum,
+        };
     }
 
-    bool operator!=(const DramStats &o) const { return !(*this == o); }
+    bool operator==(const DramStats &) const = default;
 };
+static_assert(countersCoverStruct<DramStats>());
 
 /**
  * A main-memory timing model. One instance per Hierarchy (per
@@ -188,7 +181,7 @@ class DramBackend
     const DramStats &stats() const { return stats_; }
 
     /** Zero the counters; timing state is preserved (warm-up). */
-    virtual void resetStats() { stats_ = DramStats(); }
+    void resetStats() { stats_ = DramStats(); }
 
   protected:
     DramStats stats_;

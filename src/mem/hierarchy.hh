@@ -19,6 +19,7 @@
 #ifndef CBWS_MEM_HIERARCHY_HH
 #define CBWS_MEM_HIERARCHY_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -26,6 +27,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "base/counters.hh"
 #include "base/tracesink.hh"
 #include "mem/cache.hh"
 #include "mem/dram/backend.hh"
@@ -121,32 +123,23 @@ struct PrefetchLifecycle
                       : 0.0;
     }
 
-    bool
-    operator==(const PrefetchLifecycle &o) const
+    /** The counters in declaration order (base/counters.hh). */
+    static constexpr auto
+    counters()
     {
-        return issued == o.issued && dropped == o.dropped &&
-               merged == o.merged && filled == o.filled &&
-               demandHitTimely == o.demandHitTimely &&
-               demandHitLate == o.demandHitLate &&
-               evictedUnused == o.evictedUnused &&
-               residentAtEnd == o.residentAtEnd &&
-               latenessCycles == o.latenessCycles;
+        using L = PrefetchLifecycle;
+        return std::array{
+            &L::issued, &L::dropped, &L::merged, &L::filled,
+            &L::demandHitTimely, &L::demandHitLate, &L::evictedUnused,
+            &L::residentAtEnd, &L::latenessCycles,
+        };
     }
 
-    void
-    add(const PrefetchLifecycle &o)
-    {
-        issued += o.issued;
-        dropped += o.dropped;
-        merged += o.merged;
-        filled += o.filled;
-        demandHitTimely += o.demandHitTimely;
-        demandHitLate += o.demandHitLate;
-        evictedUnused += o.evictedUnused;
-        residentAtEnd += o.residentAtEnd;
-        latenessCycles += o.latenessCycles;
-    }
+    void add(const PrefetchLifecycle &o) { addCounters(*this, o); }
+
+    bool operator==(const PrefetchLifecycle &) const = default;
 };
+static_assert(countersCoverStruct<PrefetchLifecycle>());
 
 /**
  * Per-core slice of the hierarchy statistics; only populated when the
@@ -178,22 +171,23 @@ struct CoreMemStats
     /** Shared-L2 lines owned by this core at finalize(). */
     std::uint64_t l2ResidentLines = 0;
 
-    bool
-    operator==(const CoreMemStats &o) const
+    /** The counters in declaration order (base/counters.hh). */
+    static constexpr auto
+    counters()
     {
-        return l1dAccesses == o.l1dAccesses &&
-               l1dMisses == o.l1dMisses &&
-               l1iAccesses == o.l1iAccesses &&
-               l1iMisses == o.l1iMisses &&
-               demandL2Accesses == o.demandL2Accesses &&
-               llcDemandMisses == o.llcDemandMisses &&
-               prefetchesRequested == o.prefetchesRequested &&
-               prefetchesIssued == o.prefetchesIssued &&
-               pollutionVictimMisses == o.pollutionVictimMisses &&
-               pollutionCausedMisses == o.pollutionCausedMisses &&
-               l2ResidentLines == o.l2ResidentLines;
+        using C = CoreMemStats;
+        return std::array{
+            &C::l1dAccesses, &C::l1dMisses, &C::l1iAccesses,
+            &C::l1iMisses, &C::demandL2Accesses, &C::llcDemandMisses,
+            &C::prefetchesRequested, &C::prefetchesIssued,
+            &C::pollutionVictimMisses, &C::pollutionCausedMisses,
+            &C::l2ResidentLines,
+        };
     }
+
+    bool operator==(const CoreMemStats &) const = default;
 };
+static_assert(countersCoverStruct<CoreMemStats>());
 
 /** Aggregate statistics of the hierarchy. */
 struct HierarchyStats
@@ -231,12 +225,8 @@ struct HierarchyStats
     /** Per-core slices; empty unless numCores > 1. */
     std::vector<CoreMemStats> perCore;
 
-    /**
-     * Counters of the DRAM timing backend (mem/dram/backend.hh).
-     * Kept live by the Hierarchy (mirrored from the backend on every
-     * stats read), so reports/snapshots/checkpoints see them like any
-     * other hierarchy counter.
-     */
+    /** Counters of the DRAM timing backend, copied from it on every
+     *  Hierarchy::stats() read. */
     DramStats dram;
 
     /** Per-source prefetch lifecycle accounting. */
@@ -264,46 +254,33 @@ struct HierarchyStats
         return total;
     }
 
-    /** Exact memberwise equality (the struct holds vectors now, so
-     *  memcmp no longer works; tests assert determinism with this). */
-    bool
-    operator==(const HierarchyStats &o) const
+    /** The scalar counters in declaration order (base/counters.hh);
+     *  arrays, slices and DRAM counters are not in it. */
+    static constexpr auto
+    counters()
     {
-        for (int c = 0; c < static_cast<int>(DemandClass::NumClasses);
-             ++c)
-            if (classCounts[c] != o.classCounts[c])
-                return false;
-        for (unsigned b = 0; b < LatenessBuckets; ++b)
-            if (latenessHist[b] != o.latenessHist[b])
-                return false;
-        for (unsigned s = 0; s < NumPfSources; ++s)
-            if (!(pfLife[s] == o.pfLife[s]))
-                return false;
-        return l1dAccesses == o.l1dAccesses &&
-               l1dMisses == o.l1dMisses &&
-               l1iAccesses == o.l1iAccesses &&
-               l1iMisses == o.l1iMisses &&
-               demandL2Accesses == o.demandL2Accesses &&
-               llcDemandMisses == o.llcDemandMisses &&
-               wrongPrefetches == o.wrongPrefetches &&
-               prefetchesRequested == o.prefetchesRequested &&
-               prefetchesIssued == o.prefetchesIssued &&
-               prefetchesFiltered == o.prefetchesFiltered &&
-               prefetchesDropped == o.prefetchesDropped &&
-               dramBytesRead == o.dramBytesRead &&
-               dramBytesWritten == o.dramBytesWritten &&
-               mshrStalls == o.mshrStalls &&
-               crossCorePollutionMisses == o.crossCorePollutionMisses &&
-               l2BankConflicts == o.l2BankConflicts &&
-               perCore == o.perCore && dram == o.dram;
+        using H = HierarchyStats;
+        return std::array{
+            &H::l1dAccesses, &H::l1dMisses, &H::l1iAccesses,
+            &H::l1iMisses, &H::demandL2Accesses, &H::llcDemandMisses,
+            &H::wrongPrefetches, &H::prefetchesRequested,
+            &H::prefetchesIssued, &H::prefetchesFiltered,
+            &H::prefetchesDropped, &H::dramBytesRead,
+            &H::dramBytesWritten, &H::mshrStalls,
+            &H::crossCorePollutionMisses, &H::l2BankConflicts,
+        };
     }
 
-    bool
-    operator!=(const HierarchyStats &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const HierarchyStats &) const = default;
 };
+// Every scalar has a counters() row; the rest are listed here.
+static_assert(sizeof(HierarchyStats) ==
+              HierarchyStats::counters().size() * sizeof(std::uint64_t) +
+                  sizeof(HierarchyStats::classCounts) +
+                  sizeof(HierarchyStats::perCore) +
+                  sizeof(HierarchyStats::dram) +
+                  sizeof(HierarchyStats::pfLife) +
+                  sizeof(HierarchyStats::latenessHist));
 
 /**
  * The memory system: L1I + L1D backed by an inclusive L2 and DRAM.
@@ -409,6 +386,9 @@ class Hierarchy
     {
         stats_.mshrStalls += n;
     }
+
+    /** stats().mshrStalls, without copying the DRAM counters. */
+    std::uint64_t mshrStalls() const { return stats_.mshrStalls; }
 
   private:
     /** Access the L2 on behalf of a data-side L1 miss. */

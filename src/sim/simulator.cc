@@ -1,6 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <algorithm>
 #include <span>
 
 #include "base/logging.hh"
@@ -246,22 +245,12 @@ runSystem(std::span<const Trace *const> traces,
     result.mem = mem.stats();
     result.prefetcherStorageBits = prefetchers[0]->storageBits();
     for (unsigned c = 0; c < n; ++c) {
-        const CoreStats &core = core_stats[c];
-        // Aggregate: instructions and event counts sum across cores;
-        // the run lasts as long as its slowest core.
-        result.core.instructions += core.instructions;
-        result.core.memInstructions += core.memInstructions;
-        result.core.branches += core.branches;
-        result.core.branchMispredicts += core.branchMispredicts;
-        result.core.loopCycles += core.loopCycles;
-        result.core.robFullStalls += core.robFullStalls;
-        result.core.lsqFullStalls += core.lsqFullStalls;
-        result.core.cycles = std::max(result.core.cycles, core.cycles);
+        result.core.addCore(core_stats[c]);
         if (n == 1)
             continue;
         CoreSliceResult &slice = result.perCore.emplace_back();
         slice.workload = names[c];
-        slice.core = core;
+        slice.core = core_stats[c];
         if (c < result.mem.perCore.size())
             slice.mem = result.mem.perCore[c];
         result.workload += (c == 0 ? "" : "+") + names[c];

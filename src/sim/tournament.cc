@@ -18,10 +18,7 @@ namespace
 /** Lifecycle + miss counters accumulated over a group of runs. */
 struct Rollup
 {
-    std::uint64_t filled = 0;
-    std::uint64_t demandHits = 0;
-    std::uint64_t demandHitTimely = 0;
-    std::uint64_t evictedUnused = 0;
+    PrefetchLifecycle life; ///< summed over every source and run
     std::uint64_t llcDemandMisses = 0;
     std::uint64_t workloads = 0;
     double logSpeedup = 0.0;   ///< sum of log(ipc / baseline ipc)
@@ -30,11 +27,7 @@ struct Rollup
     void
     addRun(const SimResult &res, const SimResult &baseline)
     {
-        const PrefetchLifecycle life = res.mem.pfLifeTotal();
-        filled += life.filled;
-        demandHits += life.demandHits();
-        demandHitTimely += life.demandHitTimely;
-        evictedUnused += life.evictedUnused;
+        life.add(res.mem.pfLifeTotal());
         llcDemandMisses += res.mem.llcDemandMisses;
         ++workloads;
         if (res.ipc() > 0 && baseline.ipc() > 0) {
@@ -51,30 +44,18 @@ struct Rollup
                         : 0.0;
     }
 
-    double
-    accuracy() const
-    {
-        return filled ? static_cast<double>(demandHits) /
-                            static_cast<double>(filled)
-                      : 0.0;
-    }
+    double accuracy() const { return life.accuracy(); }
 
     double
     coverage() const
     {
-        const std::uint64_t base = demandHitTimely + llcDemandMisses;
-        return base ? static_cast<double>(demandHitTimely) /
+        const std::uint64_t base = life.demandHitTimely + llcDemandMisses;
+        return base ? static_cast<double>(life.demandHitTimely) /
                           static_cast<double>(base)
                     : 0.0;
     }
 
-    double
-    pollution() const
-    {
-        return filled ? static_cast<double>(evictedUnused) /
-                            static_cast<double>(filled)
-                      : 0.0;
-    }
+    double pollution() const { return life.pollutionRate(); }
 };
 
 } // anonymous namespace

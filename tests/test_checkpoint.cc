@@ -53,89 +53,161 @@ seal(const std::string &object_text)
     return out;
 }
 
+/**
+ * Set every listed counter of @p s to @p base plus the counter's byte
+ * offset: distinct within the struct and tied to the member rather
+ * than to its list row, so a dropped or reordered row changes the
+ * encoded line.
+ */
+template <typename S>
+void
+fillCounters(S &s, std::uint64_t base)
+{
+    const auto *origin = reinterpret_cast<const char *>(&s);
+    for (const auto member : S::counters()) {
+        const auto *field = reinterpret_cast<const char *>(&(s.*member));
+        s.*member = base + static_cast<std::uint64_t>(field - origin);
+    }
+}
+
 /** A SimResult with every serialised field holding a distinct,
- *  recognisable value. */
+ *  recognisable value; @p cores > 1 adds per-core slices. */
 SimResult
-makeResult(std::uint64_t salt = 0)
+makeResult(std::uint64_t salt = 0, unsigned cores = 1)
 {
     SimResult r;
     r.workload = "unit-workload";
     r.prefetcher = "CBWS+SMS";
     r.prefetcherStorageBits = 12345 + salt;
-    r.core.cycles = 1000001 + salt;
-    r.core.instructions = 900002 + salt;
-    r.core.memInstructions = 300003 + salt;
-    r.core.branches = 100004 + salt;
-    r.core.branchMispredicts = 5005 + salt;
-    r.core.loopCycles = 600006 + salt;
-    r.core.robFullStalls = 7007 + salt;
-    r.core.lsqFullStalls = 808 + salt;
-    r.mem.l1dAccesses = 400009 + salt;
-    r.mem.l1dMisses = 30010 + salt;
-    r.mem.l1iAccesses = 500011 + salt;
-    r.mem.l1iMisses = 1212 + salt;
-    r.mem.demandL2Accesses = 31013 + salt;
-    r.mem.llcDemandMisses = 14014 + salt;
-    r.mem.wrongPrefetches = 1515 + salt;
-    r.mem.prefetchesRequested = 20016 + salt;
-    r.mem.prefetchesIssued = 18017 + salt;
-    r.mem.prefetchesFiltered = 1818 + salt;
-    r.mem.prefetchesDropped = 191 + salt;
-    r.mem.dramBytesRead = 9000020 + salt;
-    r.mem.dramBytesWritten = 2100021 + salt;
-    r.mem.mshrStalls = 2222 + salt;
+    fillCounters(r.core, 1000000 + salt);
+    fillCounters(r.mem, 2000000 + salt);
     std::uint64_t v = 31 + salt;
     for (auto &c : r.mem.classCounts)
         c = v++;
     for (auto &c : r.mem.latenessHist)
         c = v++;
-    for (auto &life : r.mem.pfLife) {
-        life.issued = v++;
-        life.dropped = v++;
-        life.merged = v++;
-        life.filled = v++;
-        life.demandHitTimely = v++;
-        life.demandHitLate = v++;
-        life.evictedUnused = v++;
-        life.residentAtEnd = v++;
-        life.latenessCycles = v++;
-    }
+    for (unsigned s = 0; s < NumPfSources; ++s)
+        fillCounters(r.mem.pfLife[s], 3000000 + 1000 * s + salt);
     r.dramBackend = "ddr";
-    r.mem.dram.reads = v++;
-    r.mem.dram.writes = v++;
-    r.mem.dram.rowHits = v++;
-    r.mem.dram.rowMisses = v++;
-    r.mem.dram.rowClosed = v++;
-    r.mem.dram.activates = v++;
-    r.mem.dram.fawStalls = v++;
-    r.mem.dram.refreshStalls = v++;
-    r.mem.dram.prefetchesDeferred = v++;
-    r.mem.dram.deferralCycles = v++;
-    r.mem.dram.readQueueFullStalls = v++;
-    r.mem.dram.writeDrains = v++;
-    r.mem.dram.busBusyCycles = v++;
-    r.mem.dram.readQueueDepthSum = v++;
-    r.mem.dram.writeQueueDepthSum = v++;
+    fillCounters(r.mem.dram, 4000000 + salt);
+    if (cores == 1)
+        return r;
+    r.cores = cores;
+    for (unsigned c = 0; c < cores; ++c) {
+        CoreSliceResult &slice = r.perCore.emplace_back();
+        slice.workload = "unit-workload-" + std::to_string(c);
+        fillCounters(slice.core, 5000000 + 1000 * c + salt);
+        fillCounters(slice.mem, 6000000 + 1000 * c + salt);
+        r.mem.perCore.push_back(slice.mem);
+    }
     return r;
 }
 
 TEST(CheckpointCell, LineRoundTripsBitExactly)
 {
-    const SimResult original = makeResult();
-    const std::string line = checkpointCellLine(original);
+    for (unsigned cores : {1u, 4u}) {
+        const SimResult original = makeResult(0, cores);
+        const std::string line = checkpointCellLine(original);
 
-    Result<SimResult> parsed = parseCheckpointCell(line);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().str();
-    EXPECT_TRUE(test::cellsIdentical(original, parsed.value()));
+        Result<SimResult> parsed = parseCheckpointCell(line);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+        EXPECT_TRUE(test::cellsIdentical(original, parsed.value()));
 
-    // The strongest form: re-serialising the parsed cell reproduces
-    // the identical line, checksum and all.
-    EXPECT_EQ(checkpointCellLine(parsed.value()), line);
+        // The strongest form: re-serialising the parsed cell
+        // reproduces the identical line, checksum and all.
+        EXPECT_EQ(checkpointCellLine(parsed.value()), line);
+    }
 }
 
-/** A real 4-core rate-mode cell at a small budget. */
+/** checkpointCellLine(makeResult()), byte for byte. */
+const char *const PinnedOneCoreLine =
+    R"({"schema_version":4,"type":"cell","workload":"unit-workload","pr)"
+    R"(efetcher":"CBWS+SMS","storage_bits":12345,"core":[1000000,100000)"
+    R"(8,1000016,1000024,1000032,1000040,1000048,1000056],"mem":[200000)"
+    R"(0,2000008,2000016,2000024,2000032,2000040,2000096,2000104,200011)"
+    R"(2,2000120,2000128,2000136,2000144,2000152,2000160,2000168],"clas)"
+    R"(s_counts":[31,32,33,34,35,36],"lateness_hist":[37,38,39,40,41,42)"
+    R"(,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60],"pf_life)"
+    R"(":[[3000000,3000008,3000016,3000024,3000032,3000040,3000048,3000)"
+    R"(056,3000064],[3001000,3001008,3001016,3001024,3001032,3001040,30)"
+    R"(01048,3001056,3001064],[3002000,3002008,3002016,3002024,3002032,)"
+    R"(3002040,3002048,3002056,3002064],[3003000,3003008,3003016,300302)"
+    R"(4,3003032,3003040,3003048,3003056,3003064],[3004000,3004008,3004)"
+    R"(016,3004024,3004032,3004040,3004048,3004056,3004064],[3005000,30)"
+    R"(05008,3005016,3005024,3005032,3005040,3005048,3005056,3005064],[)"
+    R"(3006000,3006008,3006016,3006024,3006032,3006040,3006048,3006056,)"
+    R"(3006064],[3007000,3007008,3007016,3007024,3007032,3007040,300704)"
+    R"(8,3007056,3007064],[3008000,3008008,3008016,3008024,3008032,3008)"
+    R"(040,3008048,3008056,3008064]],"dram_backend":"ddr","dram":[40000)"
+    R"(00,4000008,4000016,4000024,4000032,4000040,4000048,4000056,40000)"
+    R"(64,4000072,4000080,4000088,4000096,4000104,4000112],"crc":"2f540)"
+    R"(24616f2cb8f"})";
+
+/** checkpointCellLine(makeResult(0, 4)), byte for byte. */
+const char *const PinnedFourCoreLine =
+    R"({"schema_version":4,"type":"cell","workload":"unit-workload","pr)"
+    R"(efetcher":"CBWS+SMS","storage_bits":12345,"core":[1000000,100000)"
+    R"(8,1000016,1000024,1000032,1000040,1000048,1000056],"mem":[200000)"
+    R"(0,2000008,2000016,2000024,2000032,2000040,2000096,2000104,200011)"
+    R"(2,2000120,2000128,2000136,2000144,2000152,2000160,2000168],"core)"
+    R"(s":4,"per_core":[{"workload":"unit-workload-0","core":[5000000,5)"
+    R"(000008,5000016,5000024,5000032,5000040,5000048,5000056],"mem":[6)"
+    R"(000000,6000008,6000016,6000024,6000032,6000040,6000048,6000056,6)"
+    R"(000064,6000072,6000080]},{"workload":"unit-workload-1","core":[5)"
+    R"(001000,5001008,5001016,5001024,5001032,5001040,5001048,5001056],)"
+    R"("mem":[6001000,6001008,6001016,6001024,6001032,6001040,6001048,6)"
+    R"(001056,6001064,6001072,6001080]},{"workload":"unit-workload-2",")"
+    R"(core":[5002000,5002008,5002016,5002024,5002032,5002040,5002048,5)"
+    R"(002056],"mem":[6002000,6002008,6002016,6002024,6002032,6002040,6)"
+    R"(002048,6002056,6002064,6002072,6002080]},{"workload":"unit-workl)"
+    R"(oad-3","core":[5003000,5003008,5003016,5003024,5003032,5003040,5)"
+    R"(003048,5003056],"mem":[6003000,6003008,6003016,6003024,6003032,6)"
+    R"(003040,6003048,6003056,6003064,6003072,6003080]}],"class_counts")"
+    R"(:[31,32,33,34,35,36],"lateness_hist":[37,38,39,40,41,42,43,44,45)"
+    R"(,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60],"pf_life":[[30000)"
+    R"(00,3000008,3000016,3000024,3000032,3000040,3000048,3000056,30000)"
+    R"(64],[3001000,3001008,3001016,3001024,3001032,3001040,3001048,300)"
+    R"(1056,3001064],[3002000,3002008,3002016,3002024,3002032,3002040,3)"
+    R"(002048,3002056,3002064],[3003000,3003008,3003016,3003024,3003032)"
+    R"(,3003040,3003048,3003056,3003064],[3004000,3004008,3004016,30040)"
+    R"(24,3004032,3004040,3004048,3004056,3004064],[3005000,3005008,300)"
+    R"(5016,3005024,3005032,3005040,3005048,3005056,3005064],[3006000,3)"
+    R"(006008,3006016,3006024,3006032,3006040,3006048,3006056,3006064],)"
+    R"([3007000,3007008,3007016,3007024,3007032,3007040,3007048,3007056)"
+    R"(,3007064],[3008000,3008008,3008016,3008024,3008032,3008040,30080)"
+    R"(48,3008056,3008064]],"dram_backend":"ddr","dram":[4000000,400000)"
+    R"(8,4000016,4000024,4000032,4000040,4000048,4000056,4000064,400007)"
+    R"(2,4000080,4000088,4000096,4000104,4000112],"crc":"9f774e99942e15)"
+    R"(de"})";
+
+/**
+ * The cell lines of makeResult() and a 4-core makeResult(0, 4),
+ * byte for byte. A checkpoint written by an older build of the same
+ * CheckpointSchemaVersion must resume, so these bytes may change only
+ * together with a version bump.
+ */
+TEST(CheckpointCell, LineMatchesPinnedEncoding)
+{
+    const struct
+    {
+        SimResult cell;
+        std::string line;
+    } pinned[] = {
+        {makeResult(), PinnedOneCoreLine},
+        {makeResult(0, 4), PinnedFourCoreLine},
+    };
+    for (const auto &p : pinned) {
+        EXPECT_EQ(checkpointCellLine(p.cell), p.line);
+        Result<SimResult> parsed = parseCheckpointCell(p.line);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+        EXPECT_TRUE(test::cellsIdentical(p.cell, parsed.value()));
+        EXPECT_EQ(checkpointCellLine(parsed.value()), p.line);
+    }
+}
+
+/** A real cell at a small budget: 4-core rate mode by default. */
 SimResult
-fourCoreCell()
+simulatedCell(unsigned cores = 4, const std::string &dram = "fixed")
 {
     auto w = findWorkload("stencil-default");
     EXPECT_NE(w, nullptr);
@@ -144,14 +216,15 @@ fourCoreCell()
     Trace trace;
     w->generate(trace, params);
     SystemConfig config;
-    config.mem.numCores = 4;
+    config.mem.numCores = cores;
+    config.mem.dramBackend = dram;
     return runMatrixCell(trace, "stencil-default", config, "CBWS+SMS",
                          params.maxInstructions);
 }
 
 TEST(SimResultEquality, DetectsOneCounterInEveryGroup)
 {
-    const SimResult cell = fourCoreCell();
+    const SimResult cell = simulatedCell();
     ASSERT_EQ(cell.perCore.size(), 4u);
     EXPECT_TRUE(cell == cell);
 
@@ -187,13 +260,24 @@ TEST(SimResultEquality, DetectsOneCounterInEveryGroup)
 
 TEST(SimResultEquality, HoldsAcrossAFourCoreCheckpointRoundTrip)
 {
-    const SimResult cell = fourCoreCell();
+    const SimResult cell = simulatedCell();
     ASSERT_EQ(cell.cores, 4u);
     Result<SimResult> parsed =
         parseCheckpointCell(checkpointCellLine(cell));
     ASSERT_TRUE(parsed.ok()) << parsed.error().str();
     EXPECT_TRUE(parsed.value() == cell);
     EXPECT_TRUE(test::cellsIdentical(cell, parsed.value()));
+}
+
+TEST(SimResultEquality, HoldsAcrossADdrCheckpointRoundTrip)
+{
+    const SimResult cell = simulatedCell(1, "ddr");
+    ASSERT_EQ(cell.dramBackend, "ddr");
+    ASSERT_GT(cell.mem.dram.rowHits, 0u);
+    Result<SimResult> parsed =
+        parseCheckpointCell(checkpointCellLine(cell));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+    EXPECT_TRUE(parsed.value() == cell);
 }
 
 TEST(CheckpointCell, TamperedLineFailsItsChecksum)
